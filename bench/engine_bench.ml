@@ -5,11 +5,17 @@
      legacy            pre-translation per-step loop, no-op sink
      translated        decode-once translated loop, no-op sink
      record            translated loop driving the trace-recording sink
+     replayed          translated loop, no-op sink, driven by the program's
+                       recorded control path instead of the VM semantics
+
+   Every layer but [replayed] runs the real semantics.
 
    Each layer runs the same workloads/techniques on pre-built layouts, so
    the numbers isolate interpreter overhead from load/profile/build cost.
    CI runs this as a perf smoke: the translated loop must not be slower
-   than the legacy loop it replaced (--check, with slack for noise). *)
+   than the legacy loop it replaced (--check, with slack for noise), the
+   replayed loop must not be slower than the translated loop with real
+   semantics, and every layer must execute the same number of steps. *)
 
 let workload_name = ref "brainless"
 let scale = ref 2
@@ -83,7 +89,7 @@ let time_layer f =
   (!steps, dt)
 
 let functional (_, loaded, _) _layout =
-  let session = loaded.Vmbp_workloads.fresh_session () in
+  let session = loaded.Vmbp_workloads.semantic_session () in
   let steps, trapped =
     Vmbp_core.Engine.run_functional ~fuel
       ~program:(Vmbp_vm.Program.copy loaded.Vmbp_workloads.program)
@@ -93,7 +99,7 @@ let functional (_, loaded, _) _layout =
   steps
 
 let legacy (_, loaded, _) layout =
-  let session = loaded.Vmbp_workloads.fresh_session () in
+  let session = loaded.Vmbp_workloads.semantic_session () in
   let m = Vmbp_machine.Metrics.create () in
   let steps, trapped =
     Vmbp_core.Engine.run_events_legacy ~fuel ~metrics:m ~layout
@@ -103,7 +109,7 @@ let legacy (_, loaded, _) layout =
   steps
 
 let translated (_, loaded, _) layout =
-  let session = loaded.Vmbp_workloads.fresh_session () in
+  let session = loaded.Vmbp_workloads.semantic_session () in
   let m = Vmbp_machine.Metrics.create () in
   let steps, trapped =
     Vmbp_core.Engine.run_events ~fuel ~metrics:m ~layout
@@ -113,7 +119,7 @@ let translated (_, loaded, _) layout =
   steps
 
 let record (_, loaded, _) layout =
-  let session = loaded.Vmbp_workloads.fresh_session () in
+  let session = loaded.Vmbp_workloads.semantic_session () in
   match
     Vmbp_report.Trace.record ~fuel ~layout ~exec:session.Vmbp_workloads.exec
       ~output:session.Vmbp_workloads.output ()
@@ -126,6 +132,36 @@ let record (_, loaded, _) layout =
       Vmbp_report.Trace.release tr;
       steps
 
+(* The workload's control path, recorded from one real-semantics run
+   outside the timed region. *)
+let path =
+  let loaded = workload.Vmbp_workloads.load ~scale:!scale in
+  let session = loaded.Vmbp_workloads.semantic_session () in
+  let path = ref None in
+  let exec =
+    Vmbp_core.Control_path.record ~output:session.Vmbp_workloads.output
+      ~publish:(fun p -> path := Some p)
+      session.Vmbp_workloads.exec
+  in
+  ignore
+    (Vmbp_core.Engine.run_functional ~fuel
+       ~program:(Vmbp_vm.Program.copy loaded.Vmbp_workloads.program)
+       ~exec ());
+  match !path with
+  | Some p -> p
+  | None ->
+      prerr_endline "engine_bench: the training run did not halt";
+      exit 1
+
+let replayed _ layout =
+  let m = Vmbp_machine.Metrics.create () in
+  let steps, trapped =
+    Vmbp_core.Engine.run_events ~fuel ~metrics:m ~layout
+      ~exec:(Vmbp_core.Control_path.exec path) ~sink:null_sink ()
+  in
+  assert (trapped = None);
+  steps
+
 let () =
   let layers =
     [
@@ -133,6 +169,7 @@ let () =
       ("legacy", legacy);
       ("translated", translated);
       ("record", record);
+      ("replayed", replayed);
     ]
   in
   Printf.printf "engine_bench: %s scale %d, %d techniques, fuel %d\n%!"
@@ -144,15 +181,30 @@ let () =
         let rate = float_of_int steps /. dt in
         Printf.printf "  %-12s %9.2fs  %12d steps  %8.1f Msteps/s\n%!" name dt
           steps (rate /. 1e6);
-        (name, rate))
+        (name, (steps, rate)))
       layers
   in
-  let rate name = List.assoc name rates in
+  let rate name = snd (List.assoc name rates) in
   let ratio = rate "translated" /. rate "legacy" in
+  let replay_ratio = rate "replayed" /. rate "translated" in
   Printf.printf "  translated/legacy: %.2fx\n%!" ratio;
-  if !check && ratio < 0.95 then begin
-    Printf.eprintf
-      "engine_bench: translated loop slower than legacy (%.2fx < 0.95x)\n"
-      ratio;
-    exit 1
+  Printf.printf "  replayed/translated: %.2fx\n%!" replay_ratio;
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline ("engine_bench: " ^ msg);
+        exit 1)
+      fmt
+  in
+  if !check then begin
+    let steps = fst (List.assoc "translated" rates) in
+    List.iter
+      (fun (name, (s, _)) ->
+        if s <> steps then
+          fail "%s layer ran %d steps, translated ran %d" name s steps)
+      rates;
+    if ratio < 0.95 then
+      fail "translated loop slower than legacy (%.2fx < 0.95x)" ratio;
+    if replay_ratio < 1.0 then
+      fail "replayed loop slower than translated (%.2fx < 1x)" replay_ratio
   end

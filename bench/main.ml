@@ -345,7 +345,8 @@ let () =
       Printf.eprintf
         "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
          bank %s replays / %s configs; journal %s served / %s appended; \
-         cells %s retries / %s timeouts\n"
+         cells %s retries / %s timeouts; semantics %s runs / %s path \
+         replays (%s path bytes)\n"
         (c "trace_cache.live_hits")
         (c "trace_cache.memo_hits")
         (c "trace_cache.misses")
@@ -353,7 +354,8 @@ let () =
         (c "trace.bank_replays")
         (c "trace.banked_configs")
         (c "journal.served") (c "journal.appended") (c "cells.retries")
-        (c "cells.timeouts");
+        (c "cells.timeouts") (c "engine.semantic_runs")
+        (c "engine.path_replays") (c "engine.path_bytes");
       Printf.eprintf "wrote metrics to %s\n" file);
   match Vmbp_report.Audit.divergences () with
   | [] -> ()

@@ -401,13 +401,15 @@ let finish_obs trace_out metrics =
       in
       Printf.eprintf
         "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         journal %s served / %s appended; cells %s retries / %s timeouts\n"
+         journal %s served / %s appended; cells %s retries / %s timeouts; \
+         semantics %s runs / %s path replays (%s path bytes)\n"
         (c "trace_cache.live_hits")
         (c "trace_cache.memo_hits")
         (c "trace_cache.misses")
         (c "trace_cache.evictions")
         (c "journal.served") (c "journal.appended") (c "cells.retries")
-        (c "cells.timeouts");
+        (c "cells.timeouts") (c "engine.semantic_runs")
+        (c "engine.path_replays") (c "engine.path_bytes");
       Printf.eprintf "wrote metrics to %s\n" file
 
 let set_jobs jobs = Vmbp_report.Par_runner.default_jobs := max 1 jobs

@@ -77,7 +77,13 @@ val current : unit -> int
 
 val events : unit -> event list
 (** Completed spans in completion order (inner spans precede the spans
-    that enclose them). *)
+    that enclose them).  A span is recorded when its phase completes on
+    the recording domain, not when some other thread observes the
+    phase's effect: a span that ends after an externally visible event
+    (the report service's [flush] span ends after the reply's bytes are
+    written, so a client can already hold the reply) is guaranteed in
+    this list only once the recording side has finished -- for the
+    service, once it has drained (see {!Vmbp_service.Service.serve}). *)
 
 val count : unit -> int
 

@@ -20,7 +20,7 @@
 
     Divergences accumulate in process-global, mutex-protected statistics
     so a parallel run's workers all report into one place; drivers read
-    them for the [vmbp-cells/7] JSON counters and the exit code. *)
+    them for the [vmbp-cells/8] JSON counters and the exit code. *)
 
 open Vmbp_core
 open Vmbp_machine

@@ -198,6 +198,7 @@ let run ?(scale = 1) ?predictor ?profile ~cpu ~technique
                     cpu;
                     result;
                     output = session.Vmbp_workloads.output ();
+                    replayed = session.Vmbp_workloads.replayed;
                   };
                 pred_kind;
                 pred_att;

@@ -659,6 +659,7 @@ let timed_of_entry c (e : Journal.entry) =
                 trapped = None;
               };
             output = s.Journal.output;
+            replayed = false;
           }
     | Error msg -> Error msg
   in
@@ -914,11 +915,13 @@ let memo_cells entry arr idxs =
 (* Sampled auditing of the fast paths.
 
    Cells served without a fresh VM execution -- trace replays and
-   memo-served summaries (both [mode = Replay]) -- are the ones a silent
-   fast-path bug would corrupt, so a deterministic sample of them is
-   re-run directly through [Runner.run_result] and compared field for
-   field.  The sample is keyed on the cell key alone: the same cells are
-   audited on every run of the same grid, with any job count. *)
+   memo-served summaries (both [mode = Replay]) -- and cells whose engine
+   run replayed a recorded control path instead of the VM semantics are
+   the ones a silent fast-path bug would corrupt, so a deterministic
+   sample of them is re-run directly through [Runner.run_result] on a
+   real-semantics session and compared field for field.  The sample is
+   keyed on the cell key alone: the same cells are audited on every run
+   of the same grid, with any job count. *)
 
 let same_run (a : Runner.run) (b : Runner.run) =
   a.Runner.result.Engine.metrics = b.Runner.result.Engine.metrics
@@ -952,9 +955,13 @@ let outcome_summary = function
         m.Metrics.icache_misses
   | Error msg -> Printf.sprintf "error (%s)" msg
 
+let fast_path (t : timed) =
+  t.mode = Replay
+  || match t.outcome with Ok r -> r.Runner.replayed | Error _ -> false
+
 let audit_crosscheck c (t : timed) =
   if
-    t.from_journal || t.mode <> Replay || !self_check
+    t.from_journal || (not (fast_path t)) || !self_check
     || not (Audit.sampled ~key:(cell_key c) ~rate:!audit_sample)
   then t
   else begin
@@ -963,8 +970,8 @@ let audit_crosscheck c (t : timed) =
       Vmbp_obs.Span.with_ ~name:"audit-crosscheck"
         ~args:[ ("cell", cell_name c) ]
         (fun () ->
-          Runner.run_result ~scale:c.scale ?predictor:c.predictor ~cpu:c.cpu
-            ~technique:c.technique c.workload)
+          Runner.run_result ~scale:c.scale ?predictor:c.predictor
+            ~real_semantics:true ~cpu:c.cpu ~technique:c.technique c.workload)
     in
     let agree =
       match (t.outcome, direct) with
@@ -1530,7 +1537,7 @@ let json_summary ?jobs results =
   in
   let countp p = List.length (List.filter p results) in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"vmbp-cells/7\"";
+  Buffer.add_string b "{\"schema\":\"vmbp-cells/8\"";
   Buffer.add_string b (Printf.sprintf ",\"jobs\":%d" jobs);
   Buffer.add_string b
     (Printf.sprintf ",\"cells\":%d" (List.length results));
@@ -1586,6 +1593,20 @@ let json_summary ?jobs results =
        (json_float
           (Vmbp_obs.Registry.gauge_value
              (Vmbp_obs.Registry.gauge "engine.translate_wall_seconds"))));
+  (* vmbp-cells/8: semantics-once counters since process start --
+     [semantic_runs] counts fresh VM semantic executions outside oracle
+     runs (engine runs, trace recordings and training runs that found no
+     recorded control path), [path_replays] counts runs that replayed a
+     program's recorded path instead, and [path_bytes] is the footprint
+     of the published paths. *)
+  Buffer.add_string b
+    (Printf.sprintf ",\"semantic_runs\":%d"
+       (registry_counter "engine.semantic_runs"));
+  Buffer.add_string b
+    (Printf.sprintf ",\"path_replays\":%d"
+       (registry_counter "engine.path_replays"));
+  Buffer.add_string b
+    (Printf.sprintf ",\"path_bytes\":%d" (registry_counter "engine.path_bytes"));
   (* vmbp-cells/7: report-service counters since process start --
      [store_hits]/[store_misses] count content-addressed store lookups,
      [coalesced] counts queries merged onto an identical in-flight miss,

@@ -75,8 +75,8 @@ type timed = {
       (** served from the resume journal; no simulator ran for this cell *)
   audited : bool;
       (** the cell was cross-checked against an oracle: reference-model
-          lockstep under [--self-check], or a sampled fresh direct run
-          for replayed cells ([--audit-sample]) *)
+          lockstep under [--self-check], or a sampled fresh
+          real-semantics run for fast-path cells ([--audit-sample]) *)
 }
 
 val default_jobs : int ref
@@ -101,9 +101,11 @@ val progress : bool ref
     record plus a minimized repro artifact (see {!Audit}).
 
     Independently, [audit_sample] cross-checks a deterministic fraction
-    of the cells served by the record/replay and memo fast paths against
-    a fresh direct {!Runner.run_result}; any field-level difference is
-    recorded as a divergence and fails the cell.  Sampling is keyed on
+    of the cells served by the record/replay and memo fast paths, and of
+    the cells whose engine run replayed a recorded control path
+    ({!Runner.run.replayed}), against a fresh direct
+    {!Runner.run_result} on a real-semantics session; any field-level
+    difference is recorded as a divergence and fails the cell.  Sampling is keyed on
     the cell key, so the audited subset is stable across runs, machines
     and job counts.
 
@@ -116,8 +118,9 @@ val self_check : bool ref
     Default [false]; set from [--self-check]. *)
 
 val audit_sample : float ref
-(** Fraction (in [0, 1]) of replay/memo-served cells to cross-check
-    against a fresh direct run.  Default [0.02]; set from
+(** Fraction (in [0, 1]) of fast-path cells (replay/memo-served, or
+    engine runs on a replayed control path) to cross-check against a
+    fresh real-semantics run.  Default [0.02]; set from
     [--audit-sample P]. *)
 
 val cell_timeout : float ref
@@ -283,14 +286,15 @@ val drain_log : unit -> timed list
     order (each batch in its input order); clears the log. *)
 
 val json_summary : ?jobs:int -> timed list -> string
-(** A machine-readable summary: schema [vmbp-cells/7], one record per cell
+(** A machine-readable summary: schema [vmbp-cells/8], one record per cell
     with simulated cycles, mispredict rate, I-cache misses, production
     mode, [attempts]/[timed_out]/[from_journal] (plus [audited] when the
     cell was cross-checked), wall-clock seconds and [serve_seconds] (or
     the error for failed cells), plus top-level [engine_runs]/[replays]/
     [from_journal]/[retries]/[timeouts]/[interrupted]/[injected_faults]/
     [worker_respawns]/[bank_replays]/[banked_configs] counters, the
-    report-service counters
+    semantics-once counters ([semantic_runs]/[path_replays]/[path_bytes]),
+    the report-service counters
     ([store_hits]/[store_misses]/[coalesced]/[shed]/[degraded_seconds]),
     the differential-checking block
     ([self_check]/[audit_sample]/[audited]/[divergences]), journal and

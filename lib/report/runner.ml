@@ -6,6 +6,7 @@ type run = {
   cpu : Vmbp_machine.Cpu_model.t;
   result : Engine.result;
   output : string;
+  replayed : bool;
 }
 
 exception Run_failed of string
@@ -97,8 +98,8 @@ let effective_profile ?profile ~scale ~technique (workload : Vmbp_workloads.t)
              ~target:workload.Vmbp_workloads.name ~scale ())
       else None
 
-let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
-    (workload : Vmbp_workloads.t) =
+let run ?(scale = 1) ?poll ?predictor ?profile ?(real_semantics = false) ~cpu
+    ~technique (workload : Vmbp_workloads.t) =
   let cacheable = profile = None in
   let loaded, config, layout, translation =
     Vmbp_obs.Span.with_ ~name:"layout"
@@ -116,7 +117,10 @@ let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
         in
         (loaded, config, layout, translation))
   in
-  let session = loaded.Vmbp_workloads.fresh_session () in
+  let session =
+    if real_semantics then loaded.Vmbp_workloads.semantic_session ()
+    else loaded.Vmbp_workloads.fresh_session ()
+  in
   let result =
     Vmbp_obs.Span.with_ ~name:"engine"
       ~args:[ ("workload", workload.Vmbp_workloads.name) ]
@@ -133,10 +137,15 @@ let run ?(scale = 1) ?poll ?predictor ?profile ~cpu ~technique
     cpu;
     result;
     output = session.Vmbp_workloads.output ();
+    replayed = session.Vmbp_workloads.replayed;
   }
 
-let run_result ?scale ?poll ?predictor ?profile ~cpu ~technique workload =
-  match run ?scale ?poll ?predictor ?profile ~cpu ~technique workload with
+let run_result ?scale ?poll ?predictor ?profile ?real_semantics ~cpu
+    ~technique workload =
+  match
+    run ?scale ?poll ?predictor ?profile ?real_semantics ~cpu ~technique
+      workload
+  with
   | r -> Ok r
   | exception Run_failed msg -> Error msg
   | exception exn -> Error (Printexc.to_string exn)
@@ -156,7 +165,7 @@ let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ~cell ~cpu
       Config.build_layout ?profile config
         ~program:loaded.Vmbp_workloads.program
     in
-    let session = loaded.Vmbp_workloads.fresh_session () in
+    let session = loaded.Vmbp_workloads.semantic_session () in
     (config, layout, session)
   in
   match
@@ -183,6 +192,7 @@ let run_checked ?(scale = 1) ?poll ?predictor ?profile ?fast_maker ~cell ~cpu
               cpu;
               result;
               output = session.Vmbp_workloads.output ();
+              replayed = false;
             })
   | Error d, _ ->
       (* Localize: replay the deterministic run, recording only the
@@ -215,6 +225,7 @@ type trace = {
   t_technique : Technique.t;
   t_scale : int;
   t_data : Trace.t;
+  t_replayed : bool;  (* the recording ran on a replayed control path *)
 }
 
 let record ?(scale = 1) ?poll ?profile ?cap_bytes ~technique
@@ -234,13 +245,21 @@ let record ?(scale = 1) ?poll ?profile ?cap_bytes ~technique
       translation_for ~cacheable ~technique ~scale workload layout
     in
     let session = loaded.Vmbp_workloads.fresh_session () in
-    Trace.record ~fuel:engine_fuel ?poll ~translation ?cap_bytes ~layout
-      ~exec:session.Vmbp_workloads.exec ~output:session.Vmbp_workloads.output
-      ()
+    ( Trace.record ~fuel:engine_fuel ?poll ~translation ?cap_bytes ~layout
+        ~exec:session.Vmbp_workloads.exec
+        ~output:session.Vmbp_workloads.output (),
+      session.Vmbp_workloads.replayed )
   with
-  | Some data ->
-      Ok { t_workload = workload; t_technique = technique; t_scale = scale; t_data = data }
-  | None -> Error `Overflow
+  | Some data, replayed ->
+      Ok
+        {
+          t_workload = workload;
+          t_technique = technique;
+          t_scale = scale;
+          t_data = data;
+          t_replayed = replayed;
+        }
+  | None, _ -> Error `Overflow
   | exception exn -> Error (`Failed (Printexc.to_string exn))
 
 let run_of_replay tr cpu result =
@@ -254,6 +273,7 @@ let run_of_replay tr cpu result =
           cpu;
           result;
           output = Trace.output tr.t_data;
+          replayed = tr.t_replayed;
         }
 
 let replay ?poll ?predictor ~cpu tr =

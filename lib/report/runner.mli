@@ -7,6 +7,10 @@ type run = {
   cpu : Vmbp_machine.Cpu_model.t;
   result : Vmbp_core.Engine.result;
   output : string;
+  replayed : bool;
+      (** the engine ran on the program's recorded control path rather
+          than the VM semantics (see
+          {!Vmbp_workloads.loaded.fresh_session}) *)
 }
 
 exception Run_failed of string
@@ -33,6 +37,7 @@ val run :
   ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
+  ?real_semantics:bool ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
@@ -42,13 +47,17 @@ val run :
     is used (see {!Vmbp_workloads.training_profile}).  [poll] is the
     engine's cooperative watchdog hook (see
     {!Vmbp_core.Engine.run_events}); a deadline exception raised from it
-    escapes this function unchanged. *)
+    escapes this function unchanged.  The engine replays the program's
+    recorded control path once one exists; [real_semantics] (default
+    [false]) forces a real-semantics session, which is what oracles that
+    must not trust the path use. *)
 
 val run_result :
   ?scale:int ->
   ?poll:(unit -> unit) ->
   ?predictor:Vmbp_machine.Predictor.kind ->
   ?profile:Vmbp_vm.Profile.t ->
+  ?real_semantics:bool ->
   cpu:Vmbp_machine.Cpu_model.t ->
   technique:Vmbp_core.Technique.t ->
   Vmbp_workloads.t ->
@@ -68,7 +77,7 @@ val run_checked :
   Vmbp_workloads.t ->
   (run, string) result
 (** [run_result] under differential self-check: the cell executes once
-    through {!Audit.dual_run}, comparing the production simulators with
+    through {!Audit.dual_run}, on a real-semantics session, comparing the production simulators with
     the reference models on every dispatch and fetch.  Agreement yields
     the exact [run_result] answer.  A divergence fails the cell, records
     a minimized repro artifact (via {!Audit.record_divergence}) and

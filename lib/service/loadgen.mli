@@ -31,6 +31,9 @@ type config = {
           statuses, throughput, latency quantiles) here *)
 }
 
+val techniques : unit -> Vmbp_core.Technique.t list
+(** The techniques the query universe draws from, deduplicated by name. *)
+
 val default_config : socket:string -> config
 (** 4 clients, 1000 requests, seed 1, zipf 1.1, scale 1, no JSON. *)
 

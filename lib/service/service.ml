@@ -37,7 +37,7 @@ let default_config ~socket ~store_dir =
     flight_dir = ".";
   }
 
-(* Registry instruments; the vmbp-cells/7 summary reads [coalesced],
+(* Registry instruments; the vmbp-cells/8 summary reads [coalesced],
    [shed] and [degraded_seconds] from here. *)
 let m_requests = Vmbp_obs.Registry.counter "service.requests"
 let m_coalesced = Vmbp_obs.Registry.counter "service.coalesced"
@@ -151,7 +151,7 @@ let enqueue sh job =
   Mutex.unlock sh.lock;
   match sh.pool with Some p -> p.Env.kick () | None -> ()
 
-(* The whole reproduction grid as one vmbp-cells/7 document.  The session
+(* The whole reproduction grid as one vmbp-cells/8 document.  The session
    log is drained before and after so the document holds exactly the
    grid's cells, not whatever query batches ran since the last grid. *)
 let grid_doc (cfg : config) scale =
@@ -441,6 +441,9 @@ let service_stats st now =
       ("conn_drops", P.I (c "service.conn_drops"));
       ("slow_reader_drops", P.I (c "service.slow_reader_drops"));
       ("degraded_seconds", P.F degraded_seconds);
+      ("semantic_runs", P.I (c "engine.semantic_runs"));
+      ("path_replays", P.I (c "engine.path_replays"));
+      ("path_bytes", P.I (c "engine.path_bytes"));
       ("inflight", P.I (Hashtbl.length st.inflight));
       ("connections", P.I (List.length st.conns));
       ("uptime_seconds", P.F (now -. st.started));

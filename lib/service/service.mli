@@ -80,4 +80,12 @@ val serve : config -> unit
     Deadlines (request timeout, slow-reader, degraded-after, stall
     windows) use the monotonic clock and are immune to wall-clock
     steps.  Raises [Unix.Unix_error] if the socket cannot be bound or
-    the store cannot be opened. *)
+    the store cannot be opened.
+
+    Tracing contract: a reply's [flush] span (and its per-verb latency
+    sample) is recorded by the event loop just after the reply's last
+    byte is written, so a client may read the reply before its flush
+    span exists.  Every flush span of a written reply is guaranteed to be
+    recorded once [serve] has returned (the server drained); readers of
+    the span buffer -- tests, the [--trace-out] dump written at drain,
+    [dev/trace_check.py] -- must read it after that, never earlier. *)

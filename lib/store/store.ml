@@ -41,7 +41,7 @@ let io_fault_hook : (unit -> bool) ref = ref (fun () -> false)
 let mutation_skip_fsync = ref false
 let mutation_skip_dir_fsync = ref false
 
-(* Registry mirrors, so [--metrics] and the vmbp-cells/7 summary can
+(* Registry mirrors, so [--metrics] and the vmbp-cells/8 summary can
    report store traffic without a store handle. *)
 let m_hits = Vmbp_obs.Registry.counter "store.hits"
 let m_misses = Vmbp_obs.Registry.counter "store.misses"

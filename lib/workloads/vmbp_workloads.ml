@@ -7,11 +7,13 @@ let vm_name = function Forth -> "forth" | Jvm -> "jvm"
 type session = {
   exec : Vmbp_core.Engine.exec;
   output : unit -> string;
+  replayed : bool;
 }
 
 type loaded = {
   program : Program.t;
   fresh_session : unit -> session;
+  semantic_session : unit -> session;
 }
 
 type t = {
@@ -38,6 +40,9 @@ let locked m f =
       Mutex.unlock m;
       raise e
 
+let program_key vm name scale =
+  Printf.sprintf "%s/%s/%d" (vm_name vm) name scale
+
 let memo : (string, loaded) Hashtbl.t = Hashtbl.create 32
 let memo_lock = Mutex.create ()
 
@@ -50,6 +55,52 @@ let memoised key f =
           Hashtbl.replace memo key loaded;
           loaded)
 
+(* ------------------------------------------------------------------ *)
+(* Semantics once per program.  The first real-semantics session of a
+   program records its control path ({!Vmbp_core.Control_path}); once a
+   run reaches [Halt] or [Trap] the path is published here, keyed like
+   the load memo, and every later [fresh_session] replays it instead of
+   running the semantics.  Publishing is add-if-absent: racing recorders
+   of one program all run to completion unlocked, and the first to finish
+   wins.  The paths are deterministic, so which one wins is unobservable. *)
+
+let m_semantic_runs = Vmbp_obs.Registry.counter "engine.semantic_runs"
+let m_path_replays = Vmbp_obs.Registry.counter "engine.path_replays"
+let m_path_bytes = Vmbp_obs.Registry.counter "engine.path_bytes"
+let paths : (string, Vmbp_core.Control_path.t) Hashtbl.t = Hashtbl.create 32
+let paths_lock = Mutex.create ()
+
+let publish key path =
+  locked paths_lock (fun () ->
+      if not (Hashtbl.mem paths key) then begin
+        Hashtbl.replace paths key path;
+        Vmbp_obs.Registry.add m_path_bytes (Vmbp_core.Control_path.bytes path)
+      end)
+
+let make_loaded ~key program semantic_session =
+  let fresh_session () =
+    match locked paths_lock (fun () -> Hashtbl.find_opt paths key) with
+    | Some path ->
+        Vmbp_obs.Registry.add m_path_replays 1;
+        {
+          exec = Vmbp_core.Control_path.exec path;
+          output = (fun () -> Vmbp_core.Control_path.output path);
+          replayed = true;
+        }
+    | None ->
+        Vmbp_obs.Registry.add m_semantic_runs 1;
+        let s = semantic_session () in
+        {
+          s with
+          exec =
+            Vmbp_core.Control_path.record ~output:s.output
+              ~publish:(publish key) s.exec;
+        }
+  in
+  { program; fresh_session; semantic_session }
+
+let forget_paths () = locked paths_lock (fun () -> Hashtbl.reset paths)
+
 let of_forth (w : Vmbp_forth.Forth_workloads.t) =
   {
     vm = Forth;
@@ -57,24 +108,20 @@ let of_forth (w : Vmbp_forth.Forth_workloads.t) =
     description = w.Vmbp_forth.Forth_workloads.description;
     load =
       (fun ~scale ->
-        memoised
-          (Printf.sprintf "forth/%s/%d" w.Vmbp_forth.Forth_workloads.name scale)
-          (fun () ->
+        let key = program_key Forth w.Vmbp_forth.Forth_workloads.name scale in
+        memoised key (fun () ->
             let source = w.Vmbp_forth.Forth_workloads.source ~scale in
             let program =
               Vmbp_forth.Compiler.compile
                 ~name:w.Vmbp_forth.Forth_workloads.name source
             in
-            {
-              program;
-              fresh_session =
-                (fun () ->
-                  let state = Vmbp_forth.State.create () in
-                  {
-                    exec = Vmbp_forth.Instruction_set.exec state;
-                    output = (fun () -> Vmbp_forth.State.output state);
-                  });
-            }))
+            make_loaded ~key program (fun () ->
+                let state = Vmbp_forth.State.create () in
+                {
+                  exec = Vmbp_forth.Instruction_set.exec state;
+                  output = (fun () -> Vmbp_forth.State.output state);
+                  replayed = false;
+                })))
   }
 
 let of_jvm (w : Vmbp_jvm.Jvm_workloads.t) =
@@ -84,20 +131,16 @@ let of_jvm (w : Vmbp_jvm.Jvm_workloads.t) =
     description = w.Vmbp_jvm.Jvm_workloads.description;
     load =
       (fun ~scale ->
-        memoised
-          (Printf.sprintf "jvm/%s/%d" w.Vmbp_jvm.Jvm_workloads.name scale)
-          (fun () ->
+        let key = program_key Jvm w.Vmbp_jvm.Jvm_workloads.name scale in
+        memoised key (fun () ->
             let image = w.Vmbp_jvm.Jvm_workloads.build ~scale in
-            {
-              program = image.Vmbp_jvm.Runtime.program;
-              fresh_session =
-                (fun () ->
-                  let state = Vmbp_jvm.Runtime.create image in
-                  {
-                    exec = Vmbp_jvm.Semantics.exec state;
-                    output = (fun () -> Vmbp_jvm.Runtime.output state);
-                  });
-            }))
+            make_loaded ~key image.Vmbp_jvm.Runtime.program (fun () ->
+                let state = Vmbp_jvm.Runtime.create image in
+                {
+                  exec = Vmbp_jvm.Semantics.exec state;
+                  output = (fun () -> Vmbp_jvm.Runtime.output state);
+                  replayed = false;
+                })))
   }
 
 let forth = List.map of_forth Vmbp_forth.Forth_workloads.all
@@ -105,6 +148,10 @@ let jvm = List.map of_jvm Vmbp_jvm.Jvm_workloads.all
 let all = forth @ jvm
 
 let find ~vm name = List.find_opt (fun w -> w.vm = vm && w.name = name) all
+
+let recorded_path w ~scale =
+  let key = program_key w.vm w.name scale in
+  locked paths_lock (fun () -> Hashtbl.find_opt paths key)
 
 let run_reference ?(fuel = 500_000_000) loaded =
   let program = Program.copy loaded.program in

@@ -469,6 +469,137 @@ let test_quicken_retranslation () =
       Technique.across_bb;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* 6. Recorded control paths (Control_path) *)
+
+(* One translated-loop run of [program] under [technique]; [escape]
+   rewrites the first goto of the layout's program copy to that target
+   after the layout was built (a pc escape the engine must catch).
+   [exec_of] gets the fresh toy state and returns the exec to run. *)
+let run_with ?escape ?fuel ~technique ~exec_of program =
+  let config = Config.make ~cpu:Cpu_model.ideal technique in
+  let layout =
+    Config.build_layout ?profile:(profile_for technique program) config
+      ~program
+  in
+  Option.iter
+    (fun target ->
+      Array.iter
+        (fun (s : Program.slot) ->
+          if s.Program.opcode = T.ops.T.op_goto then
+            s.Program.operands <- [| target |])
+        layout.Code_layout.program.Program.code)
+    escape;
+  let m = Metrics.create () in
+  let state = T.create_state ~counters:(Array.make 16 3) () in
+  let sink, events = capture () in
+  let steps, trapped =
+    Engine.run_events ?fuel ~metrics:m ~layout ~exec:(exec_of state) ~sink ()
+  in
+  { steps; trapped; checksum = T.checksum state; metrics = m;
+    events = events () }
+
+(* Fuzz: random toy programs, some made to trap (a [ret] with an empty
+   return stack), to escape the program or to run out of fuel.  A real
+   run under one technique publishes its path exactly when it reached
+   Halt or Trap; replaying that path under another technique equals a
+   real run under that technique, event for event, also when the replay
+   is itself cut by fuel. *)
+let test_path_fuzz () =
+  let techniques = Array.of_list (grid_techniques ()) in
+  let published = ref 0 and unpublished = ref 0 and traps = ref 0 in
+  for seed = 1 to 300 do
+    let rng = Random.State.make [| seed; 77 |] in
+    let program = T.random_program ~seed ~size:(8 + (seed mod 30)) in
+    let mode = seed mod 4 in
+    let program =
+      if mode <> 1 then program
+      else begin
+        (* A [ret] in the main body traps with "return underflow". *)
+        let p = Program.copy program in
+        let entry = p.Program.entry in
+        let k = entry + Random.State.int rng (Program.length p - entry - 2) in
+        p.Program.code.(k) <- { Program.opcode = T.ops.T.op_ret; operands = [||] };
+        p
+      end
+    in
+    let escape =
+      if mode = 2 then Some (if Random.State.bool rng then -1 else 100_000)
+      else None
+    in
+    let fuel = if mode = 3 then Some (1 + Random.State.int rng 300) else None in
+    let pick () = techniques.(Random.State.int rng (Array.length techniques)) in
+    let a = pick () and b = pick () in
+    let what =
+      Printf.sprintf "seed %d (%s then %s)" seed (Technique.descriptor a)
+        (Technique.descriptor b)
+    in
+    let path = ref None in
+    let recorded =
+      run_with ?escape ?fuel ~technique:a program ~exec_of:(fun state ->
+          Control_path.record ~output:(fun () -> "")
+            ~publish:(fun p -> path := Some p)
+            (T.exec state))
+    in
+    let cut =
+      recorded.trapped = Some Engine.out_of_fuel
+      || recorded.trapped = Some "pc out of range"
+    in
+    check_bool (what ^ ": published iff Halt or Trap") (not cut)
+      (!path <> None);
+    if recorded.trapped = Some "return underflow" then incr traps;
+    match !path with
+    | None -> incr unpublished
+    | Some p ->
+        incr published;
+        check_int (what ^ ": path steps") recorded.steps (Control_path.steps p);
+        let real fuel = run_with ?escape ?fuel ~technique:b program ~exec_of:T.exec in
+        (* A replay computes nothing, so it carries the checksum of the
+           state it stands for: the recorded run's, which a real run
+           under another technique must reproduce. *)
+        let replay ~checksum fuel =
+          let s =
+            run_with ?escape ?fuel ~technique:b program ~exec_of:(fun _ ->
+                Control_path.exec p)
+          in
+          { s with checksum }
+        in
+        check_streams_equal ~what (real fuel)
+          (replay ~checksum:recorded.checksum fuel);
+        let fuel = Some (1 + Random.State.int rng recorded.steps) in
+        let cut = real fuel in
+        check_streams_equal ~what:(what ^ " cut") cut
+          (replay ~checksum:cut.checksum fuel)
+  done;
+  check_bool "some paths published" true (!published > 100);
+  check_bool "some runs cut" true (!unpublished > 50);
+  check_bool "some runs trapped" true (!traps > 50)
+
+(* Replaying past the recorded final outcome is an error, not a silent
+   [Next]. *)
+let test_path_exhausted () =
+  let program = T.table1_loop () in
+  let path = ref None in
+  let state = T.create_state ~counters:(Array.make 16 3) () in
+  let _ =
+    Engine.run_functional ~program:(Program.copy program)
+      ~exec:
+        (Control_path.record ~output:(fun () -> "out")
+           ~publish:(fun p -> path := Some p)
+           (T.exec state))
+      ()
+  in
+  let p = Option.get !path in
+  Alcotest.(check string) "output kept" "out" (Control_path.output p);
+  let exec = Control_path.exec p in
+  for _ = 1 to Control_path.steps p do
+    ignore (exec program 0)
+  done;
+  check_bool "past the end raises" true
+    (match exec program 0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "translated engine"
     [
@@ -499,5 +630,11 @@ let () =
             test_plan_mismatch_rejected;
           Alcotest.test_case "quickening re-translation" `Quick
             test_quicken_retranslation;
+        ] );
+      ( "control-path",
+        [
+          Alcotest.test_case "toy fuzz: replay equals semantics" `Quick
+            test_path_fuzz;
+          Alcotest.test_case "replay past the end" `Quick test_path_exhausted;
         ] );
     ]

@@ -224,18 +224,20 @@ let toy_workload ?(trap = false) name =
     load =
       (fun ~scale:_ ->
         let program = Vmbp_toyvm.Toy_vm.table1_loop () in
+        let session () =
+          let state =
+            Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 200) ()
+          in
+          let exec p pc =
+            if trap then Vmbp_vm.Control.Trap "boom"
+            else Vmbp_toyvm.Toy_vm.exec state p pc
+          in
+          { Vmbp_workloads.exec; output = (fun () -> ""); replayed = false }
+        in
         {
           Vmbp_workloads.program;
-          fresh_session =
-            (fun () ->
-              let state =
-                Vmbp_toyvm.Toy_vm.create_state ~counters:(Array.make 16 200) ()
-              in
-              let exec p pc =
-                if trap then Vmbp_vm.Control.Trap "boom"
-                else Vmbp_toyvm.Toy_vm.exec state p pc
-              in
-              { Vmbp_workloads.exec; output = (fun () -> "") });
+          fresh_session = session;
+          semantic_session = session;
         });
   }
 
@@ -326,7 +328,7 @@ let test_par_runner_json_summary () =
     done;
     !found
   in
-  check_bool "schema marker" true (contains "\"schema\":\"vmbp-cells/7\"");
+  check_bool "schema marker" true (contains "\"schema\":\"vmbp-cells/8\"");
   check_bool "bank replay counter" true (contains "\"bank_replays\":");
   check_bool "banked config counter" true (contains "\"banked_configs\":");
   check_bool "translation counter" true (contains "\"translations\":");
@@ -1206,7 +1208,7 @@ let test_store_roundtrip_serve () =
           check_int "all 12 reloaded" 12 s.Vmbp_store.Store.loaded;
           check_int "nothing recomputed" 0 s.Vmbp_store.Store.appended
       | None -> Alcotest.fail "store must be installed");
-      (* The vmbp-cells/7 summary surfaces the store counters. *)
+      (* The vmbp-cells/8 summary surfaces the store counters. *)
       ignore (PR.drain_log ());
       let json = PR.json_summary ~jobs:1 third in
       let contains needle =
@@ -1587,6 +1589,174 @@ let test_journal_refuses_descriptor_mismatch () =
                ~fingerprint:(PR.config_fingerprint c1)
             = None)))
 
+(* ------------------------------------------------------------------ *)
+(* Semantics once per program: recorded control paths *)
+
+let workload vm name = Option.get (Vmbp_workloads.find ~vm name)
+
+let check_same_run what (real : Vmbp_report.Runner.run)
+    (path : Vmbp_report.Runner.run) =
+  check_bool (what ^ ": real run ran the semantics") false
+    real.Vmbp_report.Runner.replayed;
+  check_bool (what ^ ": fast run replayed the path") true
+    path.Vmbp_report.Runner.replayed;
+  check_result_equal what real.Vmbp_report.Runner.result
+    path.Vmbp_report.Runner.result;
+  check_bool (what ^ " metrics record") true
+    (real.Vmbp_report.Runner.result.Engine.metrics
+    = path.Vmbp_report.Runner.result.Engine.metrics);
+  Alcotest.(check string)
+    (what ^ " output") real.Vmbp_report.Runner.output
+    path.Vmbp_report.Runner.output
+
+(* Every technique the report service answers, on a Forth workload and a
+   quickening JVM workload, on two CPUs: a run replaying the program's
+   recorded path equals a real-semantics run field for field.  The path
+   is recorded under the first technique and replayed under all of them,
+   so this is also the technique-independence invariant of DESIGN §5. *)
+let test_path_replay_equals_semantics () =
+  List.iter
+    (fun (w : Vmbp_workloads.t) ->
+      ignore (Vmbp_report.Runner.run ~cpu:Cpu_model.ideal
+                ~technique:Technique.plain w);
+      check_bool "path published" true
+        (Vmbp_workloads.recorded_path w ~scale:1 <> None);
+      List.iter
+        (fun technique ->
+          List.iter
+            (fun (cpu : Cpu_model.t) ->
+              let what =
+                Printf.sprintf "%s/%s/%s"
+                  w.Vmbp_workloads.name (Technique.name technique)
+                  cpu.Cpu_model.name
+              in
+              let real =
+                Vmbp_report.Runner.run ~real_semantics:true ~cpu ~technique w
+              in
+              let path = Vmbp_report.Runner.run ~cpu ~technique w in
+              check_same_run what real path)
+            [ Cpu_model.celeron_800; Cpu_model.pentium4_northwood ])
+        (Vmbp_service.Loadgen.techniques ()))
+    [ workload Vmbp_workloads.Forth "gray"; workload Vmbp_workloads.Jvm "db" ];
+  check_int "the service answers 12 techniques" 12
+    (List.length (Vmbp_service.Loadgen.techniques ()))
+
+exception Abort
+
+(* Only a run that reached Halt or Trap may publish its path. *)
+let test_cut_runs_publish_nothing () =
+  Vmbp_workloads.forget_paths ();
+  let w = workload Vmbp_workloads.Forth "gray" in
+  let loaded = w.Vmbp_workloads.load ~scale:1 in
+  let unpublished what =
+    check_bool (what ^ ": no path") true
+      (Vmbp_workloads.recorded_path w ~scale:1 = None);
+    check_bool (what ^ ": next session runs the semantics") false
+      (loaded.Vmbp_workloads.fresh_session ()).Vmbp_workloads.replayed
+  in
+  let session = loaded.Vmbp_workloads.fresh_session () in
+  let _, trapped =
+    Engine.run_functional ~fuel:1_000
+      ~program:(Vmbp_vm.Program.copy loaded.Vmbp_workloads.program)
+      ~exec:session.Vmbp_workloads.exec ()
+  in
+  Alcotest.(check (option string)) "fuel cut" (Some Engine.out_of_fuel) trapped;
+  unpublished "fuel cut";
+  let polls = ref 0 in
+  let poll () =
+    incr polls;
+    if !polls > 2 then raise Abort
+  in
+  (match
+     Vmbp_report.Runner.run ~poll ~cpu:Cpu_model.ideal
+       ~technique:Technique.plain w
+   with
+  | _ -> Alcotest.fail "the poll abort did not abort"
+  | exception Abort -> ());
+  unpublished "poll abort";
+  let full =
+    Vmbp_report.Runner.run ~cpu:Cpu_model.ideal ~technique:Technique.plain w
+  in
+  check_bool "a full run records" false full.Vmbp_report.Runner.replayed;
+  check_bool "a full run publishes" true
+    (Vmbp_workloads.recorded_path w ~scale:1 <> None);
+  check_bool "the next run replays" true
+    (Vmbp_report.Runner.run ~cpu:Cpu_model.ideal ~technique:Technique.plain w)
+      .Vmbp_report.Runner.replayed
+
+let registry_count name =
+  match Vmbp_obs.Registry.find_counter name with
+  | Some v -> Int64.to_int v
+  | None -> 0
+
+(* Four domains racing on one program with no path: every racer runs the
+   semantics, exactly one path is published, and all agree. *)
+let test_racing_recorders_publish_once () =
+  Vmbp_workloads.forget_paths ();
+  let w = workload Vmbp_workloads.Forth "gray" in
+  ignore (w.Vmbp_workloads.load ~scale:1);
+  let bytes0 = registry_count "engine.path_bytes" in
+  let runs0 = registry_count "engine.semantic_runs" in
+  let go = Atomic.make false in
+  let domains =
+    Array.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Vmbp_report.Runner.run ~cpu:Cpu_model.celeron_800
+              ~technique:Technique.plain w))
+  in
+  Atomic.set go true;
+  let runs = Array.map Domain.join domains in
+  let path = Option.get (Vmbp_workloads.recorded_path w ~scale:1) in
+  check_int "published bytes are one path's" (Control_path.bytes path)
+    (registry_count "engine.path_bytes" - bytes0);
+  let racers = registry_count "engine.semantic_runs" - runs0 in
+  check_bool "every racer without a path ran the semantics" true
+    (racers >= 1 && racers <= 4);
+  let real =
+    Vmbp_report.Runner.run ~real_semantics:true ~cpu:Cpu_model.celeron_800
+      ~technique:Technique.plain w
+  in
+  Array.iter
+    (fun (r : Vmbp_report.Runner.run) ->
+      check_result_equal "racer" real.Vmbp_report.Runner.result
+        r.Vmbp_report.Runner.result;
+      Alcotest.(check string)
+        "racer output" real.Vmbp_report.Runner.output
+        r.Vmbp_report.Runner.output)
+    runs
+
+(* A training program quickened by replaying a path equals one quickened
+   by running the semantics. *)
+let test_quickened_program_from_path () =
+  Vmbp_workloads.forget_paths ();
+  let w = workload Vmbp_workloads.Jvm "db" in
+  let loaded = w.Vmbp_workloads.load ~scale:1 in
+  let real = Vmbp_vm.Program.copy loaded.Vmbp_workloads.program in
+  let session = loaded.Vmbp_workloads.semantic_session () in
+  ignore
+    (Engine.run_functional ~program:real ~exec:session.Vmbp_workloads.exec ());
+  let recorded = Vmbp_workloads.quickened_program loaded in
+  check_bool "the first training run recorded" true
+    (Vmbp_workloads.recorded_path w ~scale:1 <> None);
+  let replays0 = registry_count "engine.path_replays" in
+  let replayed = Vmbp_workloads.quickened_program loaded in
+  check_int "the second training run replayed" 1
+    (registry_count "engine.path_replays" - replays0);
+  let same (a : Vmbp_vm.Program.t) (b : Vmbp_vm.Program.t) =
+    Array.for_all2
+      (fun (x : Vmbp_vm.Program.slot) (y : Vmbp_vm.Program.slot) ->
+        x.Vmbp_vm.Program.opcode = y.Vmbp_vm.Program.opcode
+        && x.Vmbp_vm.Program.operands = y.Vmbp_vm.Program.operands)
+      a.Vmbp_vm.Program.code b.Vmbp_vm.Program.code
+  in
+  check_bool "program quickened" false
+    (same real loaded.Vmbp_workloads.program);
+  check_bool "recording run = run_functional" true (same real recorded);
+  check_bool "replayed run = run_functional" true (same real replayed)
+
 let () =
   Alcotest.run "report"
     [
@@ -1660,6 +1830,17 @@ let () =
             test_memoized_replay_still_polls;
           Alcotest.test_case "bank descriptors injective" `Quick
             test_bank_descriptor_injective;
+        ] );
+      ( "semantics-once",
+        [
+          Alcotest.test_case "path replay equals semantics" `Quick
+            test_path_replay_equals_semantics;
+          Alcotest.test_case "cut runs publish nothing" `Quick
+            test_cut_runs_publish_nothing;
+          Alcotest.test_case "racing recorders publish once" `Quick
+            test_racing_recorders_publish_once;
+          Alcotest.test_case "quickened program from a path" `Quick
+            test_quickened_program_from_path;
         ] );
       ( "supervision",
         [

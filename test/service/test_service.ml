@@ -409,13 +409,16 @@ let test_trace_links_coalesced_rids () =
   (* Four rid-tagged duplicates of one cell under a wedged pool: each
      rid's admit span names the in-flight key, and exactly one
      compute-batch span serves that key -- the cross-thread fan-in the
-     trace view hangs the four request trees on. *)
-  with_server ~chaos:"pool-wedge=1@0.4" (fun socket ->
-      Vmbp_obs.Span.enable ();
-      Fun.protect
-        ~finally:(fun () -> Vmbp_obs.Span.disable ())
-        (fun () ->
-          let rids = List.init 4 (fun i -> Printf.sprintf "tc-r%d" i) in
+     trace view hangs the four request trees on.  Spans are read only
+     after the server has drained: a reply's flush span is recorded after
+     its bytes leave the socket, so a client can read the reply first
+     (see {!Service.serve}). *)
+  let rids = List.init 4 (fun i -> Printf.sprintf "tc-r%d" i) in
+  Vmbp_obs.Span.enable ();
+  Fun.protect
+    ~finally:(fun () -> Vmbp_obs.Span.disable ())
+    (fun () ->
+      with_server ~chaos:"pool-wedge=1@0.4" (fun socket ->
           let fds = List.map (fun _ -> connect socket) rids in
           List.iter2
             (fun fd rid ->
@@ -433,74 +436,74 @@ let test_trace_links_coalesced_rids () =
                     (Vmbp_store.Sjson.str_opt (fields_of reply) "rid"
                     = Some rid))
             fds rids;
-          List.iter Unix.close fds;
-          let events = Vmbp_obs.Span.events () in
-          let arg (e : Vmbp_obs.Span.event) k =
-            Option.value ~default:"" (List.assoc_opt k e.Vmbp_obs.Span.args)
-          in
-          let batches =
-            List.filter
-              (fun (e : Vmbp_obs.Span.event) ->
-                e.Vmbp_obs.Span.name = "compute-batch")
-              events
-          in
-          check_int "exactly one compute batch" 1 (List.length batches);
-          let batch = List.hd batches in
-          check_string "batch of one cell" "1" (arg batch "cells");
-          (* Every rid admits onto the same key, and the batch span
-             names that key: the four request trees all link to the one
-             compute. *)
-          let keys =
-            List.map
-              (fun rid ->
-                match
-                  List.find_opt
-                    (fun (e : Vmbp_obs.Span.event) ->
-                      e.Vmbp_obs.Span.name = "admit"
-                      && e.Vmbp_obs.Span.trace = rid
-                      && (arg e "decision" = "enqueue"
-                         || arg e "decision" = "coalesce"))
-                    events
-                with
-                | Some e -> arg e "key"
-                | None -> Alcotest.failf "rid %s left no admit span" rid)
-              rids
-          in
-          let key = List.hd keys in
-          check_bool "admit key non-empty" true (key <> "");
-          List.iter (check_string "all rids admit the same key" key) keys;
-          check_bool "batch span serves the admitted key" true
-            (contains (arg batch "keys") key);
-          (* The enqueuing waiter's rid rides in the batch span itself;
-             spans on the compute domain record a different thread than
-             the event loop's, so the trace visibly crosses threads. *)
-          check_bool "enqueuer's rid in the batch span" true
-            (List.exists
-               (fun rid -> contains (arg batch "rids") rid)
-               rids);
-          let parse_tid =
+          List.iter Unix.close fds);
+      let events = Vmbp_obs.Span.events () in
+      let arg (e : Vmbp_obs.Span.event) k =
+        Option.value ~default:"" (List.assoc_opt k e.Vmbp_obs.Span.args)
+      in
+      let batches =
+        List.filter
+          (fun (e : Vmbp_obs.Span.event) ->
+            e.Vmbp_obs.Span.name = "compute-batch")
+          events
+      in
+      check_int "exactly one compute batch" 1 (List.length batches);
+      let batch = List.hd batches in
+      check_string "batch of one cell" "1" (arg batch "cells");
+      (* Every rid admits onto the same key, and the batch span
+         names that key: the four request trees all link to the one
+         compute. *)
+      let keys =
+        List.map
+          (fun rid ->
             match
               List.find_opt
                 (fun (e : Vmbp_obs.Span.event) ->
-                  e.Vmbp_obs.Span.name = "parse"
-                  && List.mem e.Vmbp_obs.Span.trace rids)
+                  e.Vmbp_obs.Span.name = "admit"
+                  && e.Vmbp_obs.Span.trace = rid
+                  && (arg e "decision" = "enqueue"
+                     || arg e "decision" = "coalesce"))
                 events
             with
-            | Some e -> e.Vmbp_obs.Span.tid
-            | None -> Alcotest.fail "no parse span for any rid"
-          in
-          check_bool "batch runs on another thread" true
-            (batch.Vmbp_obs.Span.tid <> parse_tid);
-          (* Every rid's reply left a flush span. *)
-          List.iter
-            (fun rid ->
-              check_bool (rid ^ " flushed") true
-                (List.exists
-                   (fun (e : Vmbp_obs.Span.event) ->
-                     e.Vmbp_obs.Span.name = "flush"
-                     && e.Vmbp_obs.Span.trace = rid)
-                   events))
-            rids))
+            | Some e -> arg e "key"
+            | None -> Alcotest.failf "rid %s left no admit span" rid)
+          rids
+      in
+      let key = List.hd keys in
+      check_bool "admit key non-empty" true (key <> "");
+      List.iter (check_string "all rids admit the same key" key) keys;
+      check_bool "batch span serves the admitted key" true
+        (contains (arg batch "keys") key);
+      (* The enqueuing waiter's rid rides in the batch span itself;
+         spans on the compute domain record a different thread than
+         the event loop's, so the trace visibly crosses threads. *)
+      check_bool "enqueuer's rid in the batch span" true
+        (List.exists
+           (fun rid -> contains (arg batch "rids") rid)
+           rids);
+      let parse_tid =
+        match
+          List.find_opt
+            (fun (e : Vmbp_obs.Span.event) ->
+              e.Vmbp_obs.Span.name = "parse"
+              && List.mem e.Vmbp_obs.Span.trace rids)
+            events
+        with
+        | Some e -> e.Vmbp_obs.Span.tid
+        | None -> Alcotest.fail "no parse span for any rid"
+      in
+      check_bool "batch runs on another thread" true
+        (batch.Vmbp_obs.Span.tid <> parse_tid);
+      (* Every rid's reply left a flush span. *)
+      List.iter
+        (fun rid ->
+          check_bool (rid ^ " flushed") true
+            (List.exists
+               (fun (e : Vmbp_obs.Span.event) ->
+                 e.Vmbp_obs.Span.name = "flush"
+                 && e.Vmbp_obs.Span.trace = rid)
+               events))
+        rids)
 
 let test_loadgen_plan_determinism () =
   let cfg =
