@@ -1831,7 +1831,7 @@ let () =
           Alcotest.test_case "bank descriptors injective" `Quick
             test_bank_descriptor_injective;
         ] );
-      ( "semantics-once",
+      ( "path-memo",
         [
           Alcotest.test_case "path replay equals semantics" `Quick
             test_path_replay_equals_semantics;
