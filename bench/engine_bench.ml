@@ -10,12 +10,19 @@
 
    Every layer but [replayed] runs the real semantics.
 
+   A last layer, [bank], times the banked simulator kernels alone
+   ([Trace.replay_bank]) on one recorded trace: ns per event-config for
+   a bank of each predictor kind (BTB, two-level, case-block) and for a
+   bank of I-cache geometries.
+
    Each layer runs the same workloads/techniques on pre-built layouts, so
    the numbers isolate interpreter overhead from load/profile/build cost.
    CI runs this as a perf smoke: the translated loop must not be slower
    than the legacy loop it replaced (--check, with slack for noise), the
    replayed loop must not be slower than the translated loop with real
-   semantics, and every layer must execute the same number of steps. *)
+   semantics, every layer must execute the same number of steps, and the
+   banked counters must equal singleton per-configuration replays exactly.
+   Bank timings are printed only, never gated. *)
 
 let workload_name = ref "brainless"
 let scale = ref 2
@@ -162,6 +169,102 @@ let replayed _ layout =
   assert (trapped = None);
   steps
 
+(* The sweep's predictor and I-cache grid: BTBs of 5 sizes x 4
+   associativities with and without 2-bit counters, 4 two-level and 4
+   case-block tables, and 4 I-cache geometries (192-set 96KB/64B/8-way
+   takes the [mod] set index). *)
+let bank_kinds =
+  let open Vmbp_machine in
+  [
+    ( "btb",
+      List.concat_map
+        (fun entries ->
+          List.concat_map
+            (fun associativity ->
+              [
+                Predictor.Btb (Btb.classic ~entries ~associativity);
+                Predictor.Btb (Btb.with_counters ~entries ~associativity);
+              ])
+            [ 1; 2; 4; 8 ])
+        [ 256; 512; 1024; 2048; 4096 ] );
+    ( "two-level",
+      List.concat_map
+        (fun entries ->
+          List.map
+            (fun history -> Predictor.Two_level { Two_level.entries; history })
+            [ 2; 4 ])
+        [ 256; 1024 ] );
+    ("case-block", List.map (fun n -> Predictor.Case_block n) [ 256; 512; 1024; 2048 ]);
+  ]
+
+let bank_icaches =
+  List.map
+    (fun (kb, line, assoc) ->
+      Vmbp_machine.Icache.make_config ~size_bytes:(kb * 1024) ~line_bytes:line
+        ~associativity:assoc)
+    [ (8, 32, 2); (16, 32, 4); (32, 64, 4); (96, 64, 8) ]
+
+(* The bank layer's trace is the sweep's [dynamic both] layout. *)
+let record_trace () =
+  let ((_, loaded, _) as p) =
+    List.find
+      (fun (technique, _, _) ->
+        Vmbp_core.Technique.(descriptor technique = descriptor dynamic_both))
+      prepared
+  in
+  let session = loaded.Vmbp_workloads.semantic_session () in
+  match
+    Vmbp_report.Trace.record ~fuel ~layout:(build_layout p)
+      ~exec:session.Vmbp_workloads.exec ~output:session.Vmbp_workloads.output ()
+  with
+  | Some tr -> tr
+  | None ->
+      prerr_endline "engine_bench: recording overflowed";
+      exit 1
+
+(* Times one bank per kernel kind on a fresh trace, then returns the
+   configurations whose banked result differs from a singleton replay of
+   the same configuration on a second recording. *)
+let bank_layer () =
+  let module T = Vmbp_report.Trace in
+  let open Vmbp_machine in
+  let tr = record_trace () in
+  let cpu ic = { Cpu_model.pentium4_northwood with Cpu_model.icache = ic } in
+  Printf.printf "  bank (%d dispatches, %d fetches, %d-event blocks):\n%!"
+    (T.dispatch_events tr) (T.fetch_events tr) T.block_events;
+  let time name ~events bank =
+    let t0 = Unix.gettimeofday () in
+    let configs = bank () in
+    let dt = Unix.gettimeofday () -. t0 in
+    Printf.printf "    %-12s %3d configs %8.3fs  %6.2f ns/event-config\n%!" name
+      configs dt
+      (dt *. 1e9 /. float_of_int (events * configs))
+  in
+  List.iter
+    (fun (name, kinds) ->
+      time name ~events:(T.dispatch_events tr) (fun () ->
+          T.replay_bank tr ~predictors:kinds ~icaches:[]))
+    bank_kinds;
+  time "icache" ~events:(T.fetch_events tr) (fun () ->
+      T.replay_bank tr ~predictors:[] ~icaches:bank_icaches);
+  let control = record_trace () in
+  let p0 = List.hd (snd (List.hd bank_kinds)) in
+  let differs ~cpu ~predictor =
+    T.replay tr ~cpu ~predictor <> T.replay control ~cpu ~predictor
+  in
+  let ic0 = List.hd bank_icaches in
+  List.filter_map
+    (fun predictor ->
+      if differs ~cpu:(cpu ic0) ~predictor then
+        Some (Predictor.descriptor predictor)
+      else None)
+    (List.concat_map snd bank_kinds)
+  @ List.filter_map
+      (fun ic ->
+        if differs ~cpu:(cpu ic) ~predictor:p0 then Some (Icache.descriptor ic)
+        else None)
+      bank_icaches
+
 let () =
   let layers =
     [
@@ -196,7 +299,11 @@ let () =
         exit 1)
       fmt
   in
+  let bank_diverged = bank_layer () in
   if !check then begin
+    if bank_diverged <> [] then
+      fail "banked counters differ from singleton replays for %s"
+        (String.concat ", " bank_diverged);
     let steps = fst (List.assoc "translated" rates) in
     List.iter
       (fun (name, (s, _)) ->

@@ -49,7 +49,7 @@ let ub_create () =
     ub_mask = cap - 1;
   }
 
-let ub_slot u branch =
+let[@inline] ub_slot u branch =
   (* Multiplicative hash; linear probe.  The table never exceeds half
      load, so probes terminate. *)
   let i = ref ((branch * 0x9E3779B1) lsr 7 land u.ub_mask) in
@@ -143,7 +143,7 @@ let create cfg =
 let config t = t.cfg
 let set_observer t obs = t.observer <- obs
 
-let set_index t branch =
+let[@inline] set_index t branch =
   (* Branch addresses are byte addresses; drop low bits so neighbouring
      branches do not all collide in set 0. *)
   let h = branch lsr 2 in
@@ -177,14 +177,12 @@ let predict t ~branch =
    saturates the counter at 3; an incorrect one decrements it and only
    replaces the target once the counter drops below 2. *)
 
-let observe t ~branch ~set outcome =
-  match t.observer with None -> () | Some f -> f ~branch ~set outcome
-
 (* [access_*] run once per dispatch token per bank configuration -- the
    hottest code in replay -- so they avoid the option-allocating lookups
-   and only build observer payloads when an observer is installed. *)
+   and only build observer payloads when an observer is installed.  They
+   are inlined into [access] and into the loops of [access_block]. *)
 
-let access_unbounded t ~branch ~target =
+let[@inline] access_unbounded t ~branch ~target =
   if branch < 0 then invalid_arg "Btb.access: negative branch address";
   let u = t.unbounded in
   let i = ub_slot u branch in
@@ -205,8 +203,7 @@ let access_unbounded t ~branch ~target =
      end);
     (match t.observer with
     | None -> ()
-    | Some _ ->
-        observe t ~branch ~set:(-1) (if correct then Hit else Wrong_target));
+    | Some f -> f ~branch ~set:(-1) (if correct then Hit else Wrong_target));
     correct
   end
   else begin
@@ -215,11 +212,13 @@ let access_unbounded t ~branch ~target =
     u.ub_counters.(i) <- 2;
     u.ub_count <- u.ub_count + 1;
     if 2 * u.ub_count > Array.length u.ub_keys then ub_grow t.unbounded;
-    observe t ~branch ~set:(-1) (Miss { evicted = -1 });
+    (match t.observer with
+    | None -> ()
+    | Some f -> f ~branch ~set:(-1) (Miss { evicted = -1 }));
     false
   end
 
-let access_finite t ~branch ~target =
+let[@inline] access_finite t ~branch ~target =
   t.tick <- t.tick + 1;
   let assoc = t.assoc in
   let si = set_index t branch in
@@ -249,8 +248,7 @@ let access_finite t ~branch ~target =
     Array.unsafe_set t.f_stamps j t.tick;
     (match t.observer with
     | None -> ()
-    | Some _ ->
-        observe t ~branch ~set:si (if correct then Hit else Wrong_target));
+    | Some f -> f ~branch ~set:si (if correct then Hit else Wrong_target));
     correct
   end
   else begin
@@ -267,13 +265,48 @@ let access_finite t ~branch ~target =
     Array.unsafe_set t.f_targets j target;
     Array.unsafe_set t.f_counters j 2;
     Array.unsafe_set stamps j t.tick;
-    observe t ~branch ~set:si (Miss { evicted });
+    (match t.observer with
+    | None -> ()
+    | Some f -> f ~branch ~set:si (Miss { evicted }));
     false
   end
 
 let access t ~branch ~target =
   if t.assoc = 0 then access_unbounded t ~branch ~target
   else access_finite t ~branch ~target
+
+(* The finite-or-unbounded choice is made once per block; each loop then
+   inlines its access path. *)
+let access_block t (blk : Event_block.dispatch) ~mispredicts ~vm_mispredicts
+    =
+  let len = Event_block.dispatch_len blk in
+  let branches = blk.branch and targets = blk.target in
+  let vm = blk.vm_transfer in
+  let mis = ref !mispredicts and vmis = ref !vm_mispredicts in
+  if t.assoc = 0 then
+    for i = 0 to len - 1 do
+      if
+        not
+          (access_unbounded t ~branch:(Array.unsafe_get branches i)
+             ~target:(Array.unsafe_get targets i))
+      then begin
+        incr mis;
+        if Array.unsafe_get vm i then incr vmis
+      end
+    done
+  else
+    for i = 0 to len - 1 do
+      if
+        not
+          (access_finite t ~branch:(Array.unsafe_get branches i)
+             ~target:(Array.unsafe_get targets i))
+      then begin
+        incr mis;
+        if Array.unsafe_get vm i then incr vmis
+      end
+    done;
+  mispredicts := !mis;
+  vm_mispredicts := !vmis
 
 let reset t =
   ub_reset t.unbounded;

@@ -49,6 +49,18 @@ val access : t -> branch:int -> target:int -> bool
 (** Perform one predict-and-update cycle: returns [true] when the stored
     prediction matched [target], then trains the table on the outcome. *)
 
+val access_block :
+  t ->
+  Event_block.dispatch ->
+  mispredicts:int ref ->
+  vm_mispredicts:int ref ->
+  unit
+(** {!access} over every event of the block, in order (the block's
+    [opcode] is unused).  Adds the mispredicted events to [mispredicts],
+    and those whose [vm_transfer] is set also to [vm_mispredicts].  The
+    finite-or-unbounded choice is made once per block, and nothing is
+    allocated per event. *)
+
 val reset : t -> unit
 (** Forget all stored targets. *)
 

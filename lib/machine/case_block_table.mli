@@ -20,4 +20,15 @@ val access : t -> opcode:int -> target:int -> bool
 (** Predict the target for the dispatch on [opcode] and train the table;
     returns [true] on a correct prediction. *)
 
+val access_block :
+  t ->
+  Event_block.dispatch ->
+  mispredicts:int ref ->
+  vm_mispredicts:int ref ->
+  unit
+(** {!access} over every event of the block, in order (the block's
+    [branch] is unused).  Adds the mispredicted events to [mispredicts],
+    and those whose [vm_transfer] is set also to [vm_mispredicts];
+    nothing is allocated per event. *)
+
 val reset : t -> unit

@@ -105,7 +105,7 @@ let create_bank configs =
 let config t = t.cfg
 let set_observer t obs = t.observer <- obs
 
-let touch_line t line =
+let[@inline] touch_line t line =
   let assoc = t.assoc in
   let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets in
   let base = set * assoc in
@@ -140,21 +140,20 @@ let touch_line t line =
     false
   end
 
-let fetch t ~addr ~bytes ~hits ~misses =
-  let shift = t.line_shift in
-  let first = addr lsr shift in
-  let last = (addr + max 1 bytes - 1) lsr shift in
-  if t.infinite then hits := !hits + (last - first + 1)
-  else if last = first && first = t.last_line then begin
+(* Touch lines [first, last] of one fetch and return how many missed.
+   Inlined into [fetch] and into [fetch_block]'s loop. *)
+let[@inline] touch_span t first last =
+  if last = first && first = t.last_line then begin
     (* Single-line memo hit, the overwhelmingly common fetch: straight-line
        code re-fetching the line it already ran from.  Same bookkeeping as
        the loop's memo arm, minus the loop. *)
     let tk = t.tick + 1 in
     t.tick <- tk;
     Array.unsafe_set t.stamps t.last_slot tk;
-    incr hits
+    0
   end
-  else
+  else begin
+    let missed = ref 0 in
     for line = first to last do
       if line = t.last_line then begin
         (* Memo hit: the line is resident in [last_slot].  Advance the LRU
@@ -162,14 +161,43 @@ let fetch t ~addr ~bytes ~hits ~misses =
            so the memoized run stays in lock-step with a memo-free one. *)
         let tk = t.tick + 1 in
         t.tick <- tk;
-        Array.unsafe_set t.stamps t.last_slot tk;
-        incr hits
+        Array.unsafe_set t.stamps t.last_slot tk
       end
       else begin
         t.last_line <- line;
-        if touch_line t line then incr hits else incr misses
+        if not (touch_line t line) then incr missed
       end
-    done
+    done;
+    !missed
+  end
+
+(* The last line a fetch touches.  An empty or negative span still
+   touches the line of [addr]; the clamp is an int comparison, since the
+   polymorphic [max] is an external call per fetch. *)
+let[@inline] last_line t ~addr ~bytes =
+  (addr + (if bytes > 1 then bytes else 1) - 1) lsr t.line_shift
+
+let fetch t ~addr ~bytes ~hits ~misses =
+  let first = addr lsr t.line_shift in
+  let last = last_line t ~addr ~bytes in
+  let missed = if t.infinite then 0 else touch_span t first last in
+  hits := !hits + (last - first + 1 - missed);
+  misses := !misses + missed
+
+let fetch_block t (blk : Event_block.fetch) ~hits ~misses =
+  let len = Event_block.fetch_len blk in
+  let addrs = blk.addr and sizes = blk.bytes in
+  let shift = t.line_shift in
+  let lines = ref 0 and missed = ref 0 in
+  for i = 0 to len - 1 do
+    let addr = Array.unsafe_get addrs i in
+    let first = addr lsr shift in
+    let last = last_line t ~addr ~bytes:(Array.unsafe_get sizes i) in
+    lines := !lines + (last - first + 1);
+    if not t.infinite then missed := !missed + touch_span t first last
+  done;
+  hits := !hits + (!lines - !missed);
+  misses := !misses + !missed
 
 let clock t = t.tick
 

@@ -42,9 +42,17 @@ val create_bank : config list -> (string * t) list
 
 val fetch : t -> addr:int -> bytes:int -> hits:int ref -> misses:int ref -> unit
 (** Touch every line overlapping [addr, addr+bytes); adds the line hit and
-    miss counts into the given accumulators.  Every counted line access --
+    miss counts into the given accumulators.  A fetch of [bytes <= 0]
+    touches the one line holding [addr].  Every counted line access --
     including fast-path hits on the internally memoized last line -- advances
     the LRU clock and refreshes that line's recency stamp. *)
+
+val fetch_block :
+  t -> Event_block.fetch -> hits:int ref -> misses:int ref -> unit
+(** {!fetch} over every event of the block, in order, in one loop that
+    allocates nothing per event.  The accumulators, the LRU clock and the
+    cache contents end exactly as [fetch] applied event by event would
+    leave them. *)
 
 val clock : t -> int
 (** Number of line accesses applied to the LRU recency clock so far.  For a

@@ -67,6 +67,22 @@ let access t ~branch ~target ~opcode =
   | S_perfect -> true
   | S_never -> false
 
+(* The kind is matched once per block, not once per event. *)
+let access_block t blk ~mispredicts ~vm_mispredicts =
+  match t.state with
+  | S_btb b -> Btb.access_block b blk ~mispredicts ~vm_mispredicts
+  | S_two_level p -> Two_level.access_block p blk ~mispredicts ~vm_mispredicts
+  | S_case_block c ->
+      Case_block_table.access_block c blk ~mispredicts ~vm_mispredicts
+  | S_perfect -> ()
+  | S_never ->
+      let len = Event_block.dispatch_len blk in
+      let vm = blk.Event_block.vm_transfer in
+      mispredicts := !mispredicts + len;
+      for i = 0 to len - 1 do
+        if Array.unsafe_get vm i then incr vm_mispredicts
+      done
+
 let reset t =
   match t.state with
   | S_btb b -> Btb.reset b

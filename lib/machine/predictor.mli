@@ -49,4 +49,18 @@ val access : t -> branch:int -> target:int -> opcode:int -> bool
     dispatched to (used only by the case block table).  Returns [true] when
     the prediction was correct. *)
 
+val access_block :
+  t ->
+  Event_block.dispatch ->
+  mispredicts:int ref ->
+  vm_mispredicts:int ref ->
+  unit
+(** {!access} over every event of the block, in order: adds the
+    mispredicted events to [mispredicts], and those whose [vm_transfer] is
+    set also to [vm_mispredicts].  The kind is matched once per block and
+    the kind's own kernel ({!Btb.access_block},
+    {!Two_level.access_block}, {!Case_block_table.access_block}) runs the
+    block in one loop, allocating nothing per event.  The counters end
+    exactly as [access] applied event by event would leave them. *)
+
 val reset : t -> unit

@@ -30,16 +30,16 @@ let set_observer t obs = t.observer <- obs
 
 (* Fold the branch address and path history into a table index.  The
    multiplicative hash spreads byte addresses that share low bits. *)
-let index t branch =
+let[@inline] index t branch =
   let h = (branch * 2654435761) lxor t.ghr in
   (h lsr 4) land (t.cfg.entries - 1)
 
-let push_history t target =
+let[@inline] push_history t target =
   let bits = 4 * t.cfg.history in
   let mask = (1 lsl bits) - 1 in
   t.ghr <- ((t.ghr lsl 4) lxor (target lsr 4) lxor target) land mask
 
-let access t ~branch ~target =
+let[@inline] access t ~branch ~target =
   let i = index t branch in
   let prev = t.table.(i) in
   let correct = prev = target in
@@ -49,6 +49,25 @@ let access t ~branch ~target =
   | None -> ()
   | Some f -> f ~branch ~index:i ~empty:(prev = -1) ~correct);
   correct
+
+let access_block t (blk : Event_block.dispatch) ~mispredicts ~vm_mispredicts
+    =
+  let len = Event_block.dispatch_len blk in
+  let branches = blk.branch and targets = blk.target in
+  let vm = blk.vm_transfer in
+  let mis = ref !mispredicts and vmis = ref !vm_mispredicts in
+  for i = 0 to len - 1 do
+    if
+      not
+        (access t ~branch:(Array.unsafe_get branches i)
+           ~target:(Array.unsafe_get targets i))
+    then begin
+      incr mis;
+      if Array.unsafe_get vm i then incr vmis
+    end
+  done;
+  mispredicts := !mis;
+  vm_mispredicts := !vmis
 
 let reset t =
   Array.fill t.table 0 (Array.length t.table) (-1);

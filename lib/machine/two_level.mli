@@ -30,6 +30,17 @@ val create : config -> t
 val access : t -> branch:int -> target:int -> bool
 (** Predict-and-update; returns [true] on a correct prediction. *)
 
+val access_block :
+  t ->
+  Event_block.dispatch ->
+  mispredicts:int ref ->
+  vm_mispredicts:int ref ->
+  unit
+(** {!access} over every event of the block, in order (the block's
+    [opcode] is unused).  Adds the mispredicted events to [mispredicts],
+    and those whose [vm_transfer] is set also to [vm_mispredicts];
+    nothing is allocated per event. *)
+
 val set_observer :
   t -> (branch:int -> index:int -> empty:bool -> correct:bool -> unit) option
   -> unit

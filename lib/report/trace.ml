@@ -95,24 +95,6 @@ let push_token budget b code =
   Bytes.unsafe_set b.cur (b.pos + 2) (Char.unsafe_chr ((code lsr 16) land 0xff));
   b.pos <- b.pos + 3
 
-(* Iterate tokens oldest-first. *)
-let buf_iter_tokens b f =
-  let scan c limit =
-    let i = ref 0 in
-    while !i + 3 <= limit do
-      let code =
-        Char.code (Bytes.unsafe_get c !i)
-        lor (Char.code (Bytes.unsafe_get c (!i + 1)) lsl 8)
-        lor (Char.code (Bytes.unsafe_get c (!i + 2)) lsl 16)
-      in
-      f code;
-      i := !i + 3
-    done
-  in
-  List.iter (fun c -> scan c (Bytes.length c - ((Bytes.length c) mod 3)))
-    (List.rev b.filled);
-  if b.pos > 0 then scan b.cur b.pos
-
 (* ------------------------------------------------------------------ *)
 (* Dictionary coding.
 
@@ -369,64 +351,130 @@ let memo_sizes t =
   r
 
 (* Replays poll far less often than the engine: one token is a handful of
-   array reads, so ~65k tokens still bounds the watchdog's blind spot to
-   well under a millisecond. *)
+   array reads per configuration, so ~65k tokens still bounds the
+   watchdog's blind spot to well under a millisecond. *)
 let replay_poll_mask = 65536 - 1
 
-(* One traversal of the dispatch stream drives every simulator in the
-   bank; the counters live in plain int arrays (struct-of-arrays) so the
-   inner per-token loop touches two dense arrays, not a list of boxed
-   accumulators. *)
-let bank_predictors poll t fresh =
-  let n = Array.length fresh in
+(* Banked replay is tiled: each stream is decoded once, block by block,
+   into a struct-of-arrays event block, and every configuration of the
+   bank then runs its simulator kernel over the whole block before the
+   next configuration starts.  One configuration's tables stay cache-hot
+   for a block instead of all of them being touched per token, and the
+   per-event loop has no closure call or predictor-kind dispatch.  Each
+   simulator still sees its events in exactly the stream's order, so
+   every counter equals an event-by-event replay's.  The poll interval
+   is a whole number of blocks, so polls land on block boundaries. *)
+let block_events = 4096
+
+let () = assert ((replay_poll_mask + 1) mod block_events = 0)
+
+(* Decode [b]'s tokens oldest-first into [codes] (of [block_events]
+   slots) and call [f n] each time its first [n] slots hold the next
+   tokens: [n = block_events] for every block but the last, which may be
+   shorter and is skipped when empty.  [poll] runs every 64Ki tokens,
+   before the block that completes them is simulated. *)
+let iter_blocks poll b codes f =
+  let n = ref 0 and seen = ref 0 in
+  let scan c limit =
+    let i = ref 0 in
+    while !i + 3 <= limit do
+      Array.unsafe_set codes !n
+        (Char.code (Bytes.unsafe_get c !i)
+        lor (Char.code (Bytes.unsafe_get c (!i + 1)) lsl 8)
+        lor (Char.code (Bytes.unsafe_get c (!i + 2)) lsl 16));
+      i := !i + 3;
+      incr n;
+      if !n = block_events then begin
+        seen := !seen + block_events;
+        if !seen land replay_poll_mask = 0 then poll ();
+        f block_events;
+        n := 0
+      end
+    done
+  in
+  List.iter (fun c -> scan c (Bytes.length c - (Bytes.length c mod 3)))
+    (List.rev b.filled);
+  if b.pos > 0 then scan b.cur b.pos;
+  if !n > 0 then f !n
+
+(* A bank's decode buffers: the token codes of one block plus one
+   dispatch and one fetch event block.  They are recycled through a free
+   list under [pool_lock], like the chunks: a bank is over in
+   milliseconds, and allocating ~256KB of fresh major-heap arrays for
+   every bank raised the sweep's peak RSS by ~1.7MB. *)
+type buffers = {
+  codes : int array;
+  dispatch_block : Event_block.dispatch;
+  fetch_block : Event_block.fetch;
+}
+
+let spare_buffers = ref []
+
+let with_buffers f =
+  Mutex.lock pool_lock;
+  let b =
+    match !spare_buffers with
+    | b :: rest ->
+        spare_buffers := rest;
+        b
+    | [] ->
+        {
+          codes = Array.make block_events 0;
+          dispatch_block = Event_block.dispatch block_events;
+          fetch_block = Event_block.fetch block_events;
+        }
+  in
+  Mutex.unlock pool_lock;
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock pool_lock;
+      spare_buffers := b :: !spare_buffers;
+      Mutex.unlock pool_lock)
+    (fun () -> f b)
+
+(* Counters live in per-configuration refs allocated once per bank, so
+   the kernels' block loops allocate nothing. *)
+let bank_predictors poll t { codes; dispatch_block = blk; _ } fresh =
   let sims = Array.map snd fresh in
-  let mis = Array.make n 0 and vmis = Array.make n 0 in
+  let mis = Array.map (fun _ -> ref 0) fresh in
+  let vmis = Array.map (fun _ -> ref 0) fresh in
   let opcode_mask = (1 lsl dispatch_opcode_bits) - 1 in
   let rev_a = t.dispatch_dict.rev_a and rev_b = t.dispatch_dict.rev_b in
-  let seen = ref 0 in
-  buf_iter_tokens t.dispatch (fun code ->
-      incr seen;
-      if !seen land replay_poll_mask = 0 then poll ();
-      let branch = Array.unsafe_get rev_a code in
-      let w = Array.unsafe_get rev_b code in
-      let target = w lsr (dispatch_opcode_bits + 1) in
-      let opcode = (w lsr 1) land opcode_mask in
-      let vm_transfer = w land 1 = 1 in
-      for j = 0 to n - 1 do
-        if
-          not
-            (Predictor.access (Array.unsafe_get sims j) ~branch ~target
-               ~opcode)
-        then begin
-          Array.unsafe_set mis j (Array.unsafe_get mis j + 1);
-          if vm_transfer then
-            Array.unsafe_set vmis j (Array.unsafe_get vmis j + 1)
-        end
-      done);
+  iter_blocks poll t.dispatch codes (fun n ->
+      for i = 0 to n - 1 do
+        let code = Array.unsafe_get codes i in
+        let w = Array.unsafe_get rev_b code in
+        Array.unsafe_set blk.branch i (Array.unsafe_get rev_a code);
+        Array.unsafe_set blk.target i (w lsr (dispatch_opcode_bits + 1));
+        Array.unsafe_set blk.opcode i ((w lsr 1) land opcode_mask);
+        Array.unsafe_set blk.vm_transfer i (w land 1 = 1)
+      done;
+      blk.len <- n;
+      Array.iteri
+        (fun j sim ->
+          Predictor.access_block sim blk ~mispredicts:mis.(j)
+            ~vm_mispredicts:vmis.(j))
+        sims);
   Array.iteri
-    (fun j (d, _) -> memo_add t t.pred_memo d (mis.(j), vmis.(j)))
+    (fun j (d, _) -> memo_add t t.pred_memo d (!(mis.(j)), !(vmis.(j))))
     fresh
 
-(* Same single-pass shape over the fetch stream.  The accumulator refs are
-   allocated once per bank, before the walk, so the per-token loop does not
-   allocate. *)
-let bank_icaches poll t fresh =
-  let n = Array.length fresh in
+let bank_icaches poll t { codes; fetch_block = blk; _ } fresh =
   let sims = Array.map snd fresh in
-  let hits = Array.init n (fun _ -> ref 0) in
-  let misses = Array.init n (fun _ -> ref 0) in
+  let hits = Array.map (fun _ -> ref 0) fresh in
+  let misses = Array.map (fun _ -> ref 0) fresh in
   let rev_a = t.fetch_dict.rev_a and rev_b = t.fetch_dict.rev_b in
-  let seen = ref 0 in
-  buf_iter_tokens t.fetch (fun code ->
-      incr seen;
-      if !seen land replay_poll_mask = 0 then poll ();
-      let addr = Array.unsafe_get rev_a code in
-      let bytes = Array.unsafe_get rev_b code in
-      for j = 0 to n - 1 do
-        Icache.fetch (Array.unsafe_get sims j) ~addr ~bytes
-          ~hits:(Array.unsafe_get hits j)
-          ~misses:(Array.unsafe_get misses j)
-      done);
+  iter_blocks poll t.fetch codes (fun n ->
+      for i = 0 to n - 1 do
+        let code = Array.unsafe_get codes i in
+        Array.unsafe_set blk.addr i (Array.unsafe_get rev_a code);
+        Array.unsafe_set blk.bytes i (Array.unsafe_get rev_b code)
+      done;
+      blk.len <- n;
+      Array.iteri
+        (fun j sim ->
+          Icache.fetch_block sim blk ~hits:hits.(j) ~misses:misses.(j))
+        sims);
   Array.iteri
     (fun j (d, _) ->
       memo_add t t.icache_memo d (!(hits.(j)) + !(misses.(j)), !(misses.(j))))
@@ -441,11 +489,12 @@ let replay_bank ?(poll = fun () -> ()) t ~predictors ~icaches =
   let fresh_of bank memo =
     Array.of_list (List.filter (fun (d, _) -> memo_find t memo d = None) bank)
   in
-  let fp = fresh_of (Predictor.create_bank predictors) t.pred_memo in
-  if Array.length fp > 0 then bank_predictors poll t fp;
-  let fi = fresh_of (Icache.create_bank icaches) t.icache_memo in
-  if Array.length fi > 0 then bank_icaches poll t fi;
-  Array.length fp + Array.length fi
+  with_buffers (fun bufs ->
+      let fp = fresh_of (Predictor.create_bank predictors) t.pred_memo in
+      if Array.length fp > 0 then bank_predictors poll t bufs fp;
+      let fi = fresh_of (Icache.create_bank icaches) t.icache_memo in
+      if Array.length fi > 0 then bank_icaches poll t bufs fi;
+      Array.length fp + Array.length fi)
 
 let build_result t ~cpu (mispredicts, vm_mispredicts) (fetches, misses) =
   let m = Metrics.copy t.base in

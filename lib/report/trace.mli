@@ -46,6 +46,9 @@ val record :
     pre-decoded instruction stream (see {!Vmbp_core.Engine.translation});
     it must have been built from [layout] and is consumed by the run. *)
 
+val block_events : int
+(** Events per block of a banked replay (4096). *)
+
 val replay_bank :
   ?poll:(unit -> unit) ->
   t ->
@@ -53,11 +56,17 @@ val replay_bank :
   icaches:Vmbp_machine.Icache.config list ->
   int
 (** Banked replay: simulate every requested configuration in one traversal
-    per stream.  The dispatch stream is walked once driving an array of
-    predictor simulators (one per distinct, not-yet-memoized configuration,
-    with per-configuration counters in struct-of-arrays layout), and the
-    fetch stream likewise drives an array of I-cache simulators; the
-    results land in the trace's memo tables, from which {!replay} and
+    per stream.  The traversal is block-tiled: the dispatch stream is
+    decoded once, {!block_events} events at a time, into a
+    struct-of-arrays {!Vmbp_machine.Event_block.dispatch}, and each
+    predictor simulator of the bank (one per distinct, not-yet-memoized
+    configuration) runs {!Vmbp_machine.Predictor.access_block} over the
+    whole block before the next one starts; the fetch stream likewise
+    drives the I-cache simulators through
+    {!Vmbp_machine.Icache.fetch_block}.  Every simulator sees its events
+    in exactly the stream's order, so its counters equal an
+    event-by-event replay's.  The results land in the trace's memo tables
+    only once a stream walk completes, from which {!replay} and
     {!replay_memo} then answer at cost-model price.  Returns the number of
     configurations freshly simulated (0 when everything was already
     memoized).  Configurations are deduplicated by their canonical

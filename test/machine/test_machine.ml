@@ -604,6 +604,256 @@ let test_icache_observer () =
   Icache.fetch inf ~addr:4096 ~bytes:64 ~hits:h ~misses:m;
   check_int "infinite cache is silent" 0 !fired
 
+(* -------------------------------------------------------------------- *)
+(* Block kernels: [Predictor.access_block] and [Icache.fetch_block] must
+   leave every counter and every table exactly as the per-event
+   [access]/[fetch] and the reference models do, over random streams cut
+   into blocks of every length around the banked-replay block size. *)
+
+let block_lengths = [ 0; 1; 4095; 4096; 4097 ]
+
+let block_predictor_kinds =
+  predictor_kinds
+  @ [
+      ("btb-classic-64x8", Predictor.Btb (Btb.classic ~entries:64 ~associativity:8));
+      ( "btb-counters-64x8",
+        Predictor.Btb (Btb.with_counters ~entries:64 ~associativity:8) );
+      ( "btb-counters-64x1",
+        Predictor.Btb (Btb.with_counters ~entries:64 ~associativity:1) );
+    ]
+
+let random_dispatches rng n =
+  Array.init n (fun _ ->
+      ( 4 * Random.State.int rng 96,
+        Random.State.int rng 8,
+        Random.State.int rng 64,
+        Random.State.bool rng ))
+
+(* Copy [events.(lo .. lo+len-1)] into [blk], which has spare room. *)
+let fill_dispatch (blk : Event_block.dispatch) events lo len =
+  for i = 0 to len - 1 do
+    let branch, target, opcode, vm = events.(lo + i) in
+    blk.branch.(i) <- branch;
+    blk.target.(i) <- target;
+    blk.opcode.(i) <- opcode;
+    blk.vm_transfer.(i) <- vm
+  done;
+  blk.len <- len
+
+let test_predictor_blocks_match (name, kind) () =
+  let rng = Random.State.make [| 0xB10C; Hashtbl.hash name |] in
+  List.iter
+    (fun len ->
+      let label = Printf.sprintf "%s, %d-event blocks" name len in
+      (* Three blocks' worth, so table state must carry across blocks. *)
+      let events = random_dispatches rng (3 * len) in
+      let fast = Predictor.create kind and blocked = Predictor.create kind in
+      let oracle = Reference.create_predictor kind in
+      let count access =
+        Array.fold_left
+          (fun (m, v) (branch, target, opcode, vm) ->
+            if access ~branch ~target ~opcode then (m, v)
+            else (m + 1, if vm then v + 1 else v))
+          (0, 0) events
+      in
+      let expect = count (Predictor.access fast) in
+      check_bool (label ^ ": reference agrees with access") true
+        (count (Reference.access oracle) = expect);
+      let blk = Event_block.dispatch (len + 3) in
+      let mis = ref 0 and vmis = ref 0 in
+      for b = 0 to 2 do
+        fill_dispatch blk events (b * len) len;
+        Predictor.access_block blocked blk ~mispredicts:mis ~vm_mispredicts:vmis
+      done;
+      check_int (label ^ ": mispredicts") (fst expect) !mis;
+      check_int (label ^ ": vm mispredicts") (snd expect) !vmis;
+      (* Same tables afterwards: a probe stream predicts identically. *)
+      Array.iter
+        (fun (branch, target, opcode, _) ->
+          let want = Predictor.access fast ~branch ~target ~opcode in
+          check_bool (label ^ ": probe") want
+            (Predictor.access blocked ~branch ~target ~opcode))
+        (random_dispatches rng 300))
+    block_lengths
+
+let block_icache_geometries =
+  icache_geometries
+  @ [
+      ( "96KB/64B/8way",
+        Icache.make_config ~size_bytes:(96 * 1024) ~line_bytes:64
+          ~associativity:8 );
+    ]
+
+let test_icache_blocks_match (name, (cfg : Icache.config)) () =
+  let rng = Random.State.make [| 0xF37C; Hashtbl.hash name |] in
+  (* Spread addresses over twice the cache, so even the 96KB geometry
+     (192 sets, the [mod] set index) evicts; a few spans are empty or
+     negative. *)
+  let span = 2 * max 1024 cfg.Icache.size_bytes in
+  List.iter
+    (fun len ->
+      let label = Printf.sprintf "icache %s, %d-event blocks" name len in
+      let events =
+        Array.init (3 * len) (fun _ ->
+            (Random.State.int rng span, Random.State.int rng 100 - 4))
+      in
+      let fast = Icache.create cfg and blocked = Icache.create cfg in
+      let oracle = Reference.create_icache cfg in
+      let run fetch =
+        let hits = ref 0 and misses = ref 0 in
+        Array.iter (fun (addr, bytes) -> fetch ~addr ~bytes ~hits ~misses) events;
+        (!hits, !misses)
+      in
+      let expect = run (Icache.fetch fast) in
+      check_bool (label ^ ": reference agrees with fetch") true
+        (run (Reference.fetch oracle) = expect);
+      let blk = Event_block.fetch (len + 3) in
+      let hits = ref 0 and misses = ref 0 in
+      for b = 0 to 2 do
+        for i = 0 to len - 1 do
+          let addr, bytes = events.((b * len) + i) in
+          blk.addr.(i) <- addr;
+          blk.bytes.(i) <- bytes
+        done;
+        blk.len <- len;
+        Icache.fetch_block blocked blk ~hits ~misses
+      done;
+      check_int (label ^ ": hits") (fst expect) !hits;
+      check_int (label ^ ": misses") (snd expect) !misses;
+      check_int (label ^ ": LRU clock") (Icache.clock fast) (Icache.clock blocked);
+      for line = 0 to (span / cfg.Icache.line_bytes) - 1 do
+        check_bool (label ^ ": resident lines")
+          (Icache.resident fast ~line) (Icache.resident blocked ~line)
+      done)
+    block_lengths
+
+let test_block_len_checked () =
+  let blk = Event_block.dispatch 4 in
+  blk.len <- 5;
+  let p = Predictor.create (Predictor.Btb Btb.ideal) in
+  (match
+     Predictor.access_block p blk ~mispredicts:(ref 0) ~vm_mispredicts:(ref 0)
+   with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a block longer than its arrays must be refused");
+  let fblk = Event_block.fetch 4 in
+  fblk.len <- -1;
+  match
+    Icache.fetch_block (Icache.create Icache.infinite) fblk ~hits:(ref 0)
+      ~misses:(ref 0)
+  with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a negative block length must be refused"
+
+(* An empty or negative span still fetches the line holding [addr]:
+   exactly one line access, as in the reference model. *)
+let test_icache_empty_span_one_line () =
+  let cfg = Icache.make_config ~size_bytes:256 ~line_bytes:32 ~associativity:2 in
+  List.iter
+    (fun bytes ->
+      let label = Printf.sprintf "bytes = %d" bytes in
+      let fast = Icache.create cfg and oracle = Reference.create_icache cfg in
+      let fh = ref 0 and fm = ref 0 and rh = ref 0 and rm = ref 0 in
+      List.iter
+        (fun addr ->
+          Icache.fetch fast ~addr ~bytes ~hits:fh ~misses:fm;
+          Reference.fetch oracle ~addr ~bytes ~hits:rh ~misses:rm)
+        [ 100; 100; 131; 4000 ];
+      check_int (label ^ ": one line per fetch") 4 (!fh + !fm);
+      check_int (label ^ ": hits as reference") !rh !fh;
+      check_int (label ^ ": misses as reference") !rm !fm;
+      check_int (label ^ ": clock") 4 (Icache.clock fast);
+      let blocked = Icache.create cfg in
+      let blk = Event_block.fetch 4 in
+      List.iteri
+        (fun i addr ->
+          blk.addr.(i) <- addr;
+          blk.bytes.(i) <- bytes)
+        [ 100; 100; 131; 4000 ];
+      blk.len <- 4;
+      let bh = ref 0 and bm = ref 0 in
+      Icache.fetch_block blocked blk ~hits:bh ~misses:bm;
+      check_int (label ^ ": block hits") !fh !bh;
+      check_int (label ^ ": block misses") !fm !bm)
+    [ 0; -1; -64 ]
+
+(* -------------------------------------------------------------------- *)
+(* Allocation: the simulators run once per event per configuration, so
+   neither the per-event nor the block entry points may allocate, even on
+   a stream that misses almost every time. *)
+
+(* Minor words allocated by [f], net of the measurement's own cost. *)
+let minor_words_of f =
+  let empty =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    w1 -. w0
+  in
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  w1 -. w0 -. empty
+
+let test_predictors_allocation_free () =
+  let rng = Random.State.make [| 0xA110C |] in
+  let n = 4096 in
+  (* Thousands of distinct branches through small tables: nearly every
+     access of a finite BTB misses and evicts. *)
+  let events =
+    Array.init n (fun _ ->
+        ( 4 * Random.State.int rng 4096,
+          Random.State.int rng 1024,
+          Random.State.int rng 256,
+          Random.State.bool rng ))
+  in
+  let blk = Event_block.dispatch n in
+  fill_dispatch blk events 0 n;
+  let branches = blk.branch and targets = blk.target and opcodes = blk.opcode in
+  List.iter
+    (fun (name, kind) ->
+      let p = Predictor.create kind in
+      (* Warm-up: the unbounded BTB grows its table on first sight of a
+         branch, which is amortized set-up, not per-event work. *)
+      Predictor.access_block p blk ~mispredicts:(ref 0) ~vm_mispredicts:(ref 0);
+      let mis = ref 0 and vmis = ref 0 in
+      let words =
+        minor_words_of (fun () ->
+            for i = 0 to n - 1 do
+              ignore
+                (Predictor.access p ~branch:branches.(i)
+                   ~target:(targets.(i) + 1) ~opcode:opcodes.(i)
+                  : bool)
+            done;
+            Predictor.access_block p blk ~mispredicts:mis ~vm_mispredicts:vmis)
+      in
+      Alcotest.(check (float 0.)) (name ^ ": minor words") 0. words)
+    block_predictor_kinds
+
+let test_icache_allocation_free () =
+  let rng = Random.State.make [| 0x1CA110C |] in
+  let n = 4096 in
+  let blk = Event_block.fetch n in
+  for i = 0 to n - 1 do
+    blk.addr.(i) <- Random.State.int rng (1 lsl 20);
+    blk.bytes.(i) <- Random.State.int rng 96
+  done;
+  blk.len <- n;
+  let addrs = blk.addr and sizes = blk.bytes in
+  List.iter
+    (fun (name, cfg) ->
+      let c = Icache.create cfg in
+      let hits = ref 0 and misses = ref 0 in
+      let words =
+        minor_words_of (fun () ->
+            for i = 0 to n - 1 do
+              Icache.fetch c ~addr:addrs.(i) ~bytes:sizes.(i) ~hits ~misses
+            done;
+            Icache.fetch_block c blk ~hits ~misses)
+      in
+      check_bool (name ^ ": stream misses") true (cfg.Icache.size_bytes = 0 || !misses > n);
+      Alcotest.(check (float 0.)) (name ^ ": minor words") 0. words)
+    block_icache_geometries
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "machine"
@@ -645,6 +895,8 @@ let () =
             test_icache_infinite_never_misses;
           Alcotest.test_case "fetch memo keeps LRU fresh" `Quick
             test_icache_memo_lru_refresh;
+          Alcotest.test_case "empty span touches one line" `Quick
+            test_icache_empty_span_one_line;
         ] );
       ( "geometry",
         [
@@ -667,6 +919,27 @@ let () =
             test_two_level_observer_matches_result;
           Alcotest.test_case "icache eviction reporting" `Quick
             test_icache_observer;
+        ] );
+      ( "block-kernels",
+        List.map
+          (fun ((name, _) as k) ->
+            Alcotest.test_case name `Quick (test_predictor_blocks_match k))
+          block_predictor_kinds
+        @ List.map
+            (fun ((name, _) as g) ->
+              Alcotest.test_case ("icache " ^ name) `Quick
+                (test_icache_blocks_match g))
+            block_icache_geometries
+        @ [
+            Alcotest.test_case "block length checked" `Quick
+              test_block_len_checked;
+          ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "predictors, miss-heavy" `Quick
+            test_predictors_allocation_free;
+          Alcotest.test_case "icache, miss-heavy" `Quick
+            test_icache_allocation_free;
         ] );
       ( "reference-equivalence",
         List.map qt

@@ -1757,6 +1757,98 @@ let test_quickened_program_from_path () =
   check_bool "recording run = run_functional" true (same real recorded);
   check_bool "replayed run = run_functional" true (same real replayed)
 
+
+(* The block-tiled bank over a real trace whose streams end mid-block:
+   every banked configuration equals a direct per-cell run field for
+   field, a poll that raises mid-stream leaves no partial memo entry,
+   and the 64Ki-token poll cadence holds. *)
+let test_tiled_bank () =
+  let w = workload Vmbp_workloads.Forth "gray" in
+  let technique = Technique.plain in
+  let loaded = w.Vmbp_workloads.load ~scale:1 in
+  let layout =
+    Config.build_layout (Config.make technique)
+      ~program:loaded.Vmbp_workloads.program
+  in
+  let record () =
+    let s = loaded.Vmbp_workloads.semantic_session () in
+    Option.get
+      (Vmbp_report.Trace.record ~fuel:Vmbp_report.Runner.engine_fuel ~layout
+         ~exec:s.Vmbp_workloads.exec ~output:s.Vmbp_workloads.output ())
+  in
+  let tr = record () in
+  let module T = Vmbp_report.Trace in
+  let nd = T.dispatch_events tr and nf = T.fetch_events tr in
+  List.iter
+    (fun (what, n) ->
+      check_bool (what ^ " stream ends mid-block") true
+        (n mod T.block_events <> 0);
+      check_bool (what ^ " stream spans several polls") true (n > 2 * 65536))
+    [ ("dispatch", nd); ("fetch", nf) ];
+  let predictors =
+    [
+      Predictor.Btb (Btb.classic ~entries:256 ~associativity:1);
+      Predictor.Btb (Btb.with_counters ~entries:512 ~associativity:8);
+      Predictor.Btb Btb.ideal;
+      Predictor.Two_level Two_level.default;
+      Predictor.Case_block 256;
+      Predictor.Perfect;
+      Predictor.Never;
+    ]
+  in
+  let cpus = [ Cpu_model.celeron_800; Cpu_model.pentium4_northwood ] in
+  let icaches = List.map (fun (c : Cpu_model.t) -> c.Cpu_model.icache) cpus in
+  let polls = ref 0 and fail_at = ref 0 in
+  let poll () =
+    incr polls;
+    if !polls = !fail_at then raise Exit
+  in
+  let aborted_bank at =
+    polls := 0;
+    fail_at := at;
+    match T.replay_bank ~poll tr ~predictors ~icaches with
+    | _ -> Alcotest.fail "the poll abort did not abort the bank"
+    | exception Exit -> T.memo_sizes tr
+  in
+  (* Poll 1 is the entry poll and poll 2 the first one of the dispatch
+     walk: nothing may be memoized when it raises. *)
+  Alcotest.(check (pair int int)) "abort in the dispatch walk" (0, 0)
+    (aborted_bank 2);
+  (* The first poll of the fetch walk: the finished predictors are in,
+     no I-cache is. *)
+  Alcotest.(check (pair int int)) "abort in the fetch walk"
+    (List.length predictors, 0)
+    (aborted_bank (2 + (nd / 65536)));
+  let tr = record () in
+  polls := 0;
+  fail_at := 0;
+  check_int "every configuration simulated"
+    (List.length predictors + List.length icaches)
+    (T.replay_bank ~poll tr ~predictors ~icaches);
+  check_bool "a poll at least every 64Ki tokens" true
+    (!polls >= 1 + (nd / 65536) + (nf / 65536));
+  List.iter
+    (fun (cpu : Cpu_model.t) ->
+      List.iter
+        (fun predictor ->
+          let what =
+            Printf.sprintf "%s/%s" cpu.Cpu_model.name
+              (Predictor.descriptor predictor)
+          in
+          let direct =
+            Vmbp_report.Runner.run ~real_semantics:true ~predictor ~cpu
+              ~technique w
+          in
+          match T.replay_memo tr ~cpu ~predictor with
+          | Some banked ->
+              check_result_equal what direct.Vmbp_report.Runner.result banked;
+              check_bool (what ^ " metrics record") true
+                (direct.Vmbp_report.Runner.result.Engine.metrics
+                = banked.Engine.metrics)
+          | None -> Alcotest.fail (what ^ ": bank must have memoized"))
+        predictors)
+    cpus
+
 let () =
   Alcotest.run "report"
     [
@@ -1830,6 +1922,11 @@ let () =
             test_memoized_replay_still_polls;
           Alcotest.test_case "bank descriptors injective" `Quick
             test_bank_descriptor_injective;
+        ] );
+      ( "tiled-bank",
+        [
+          Alcotest.test_case "equals direct runs, polls, aborts" `Quick
+            test_tiled_bank;
         ] );
       ( "path-memo",
         [
