@@ -12,12 +12,14 @@
       regressions in the reproduction pipeline itself are visible.
 
    Usage: main.exe [--scale N] [--jobs N] [--trace-cap-mb MB] [--json FILE]
-                   [--journal FILE] [--resume] [--cell-timeout SEC]
-                   [--cell-retries N] [--chaos SPEC] [--self-check]
-                   [--audit-sample P] [--repro-dir DIR]
+                   [--cell-timeout SEC] [--cell-retries N] [--chaos SPEC]
+                   [--self-check] [--audit-sample P] [--repro-dir DIR]
                    [--trace-out FILE] [--metrics FILE]
                    [--progress | --no-progress]
-                   [--report-only | --bench-only] *)
+                   [--report-only | --bench-only]
+
+   This harness persists nothing: for a full report that survives a kill
+   and resumes where it stopped, run [bin/main.exe report --store DIR]. *)
 
 open Bechamel
 open Toolkit
@@ -26,8 +28,6 @@ let scale_override = ref None
 let report = ref true
 let bench = ref true
 let json_file = ref None
-let journal_file = ref None
-let resume = ref false
 let trace_out = ref None
 let metrics_file = ref None
 let progress_override = ref None
@@ -69,12 +69,6 @@ let () =
         parse rest
     | "--json" :: file :: rest ->
         json_file := Some file;
-        parse rest
-    | "--journal" :: file :: rest ->
-        journal_file := Some file;
-        parse rest
-    | "--resume" :: rest ->
-        resume := true;
         parse rest
     | "--cell-timeout" :: s :: rest ->
         Vmbp_report.Par_runner.cell_timeout := as_float "--cell-timeout" s;
@@ -121,7 +115,7 @@ let () =
     | [ flag ]
       when List.mem flag
              [
-               "--scale"; "--jobs"; "--trace-cap-mb"; "--json"; "--journal";
+               "--scale"; "--jobs"; "--trace-cap-mb"; "--json";
                "--cell-timeout"; "--cell-retries"; "--chaos";
                "--audit-sample"; "--repro-dir"; "--trace-out"; "--metrics";
              ] ->
@@ -139,14 +133,8 @@ let () =
      | None -> Unix.isatty Unix.stderr);
   Vmbp_obs.Registry.reset ();
   if !trace_out <> None then Vmbp_obs.Span.enable ();
-  (match (!journal_file, !resume) with
-  | Some file, resume -> Vmbp_report.Par_runner.set_journal ~file ~resume
-  | None, true ->
-      Printf.eprintf "--resume requires --journal FILE\n";
-      exit 2
-  | None, false -> ());
-  (* First Ctrl-C drains in-flight cells and emits a partial report (the
-     journal is already fsync'd per cell); the second force-quits. *)
+  (* First Ctrl-C drains in-flight cells and emits a partial report; the
+     second force-quits. *)
   let interrupted = ref false in
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle
@@ -157,7 +145,8 @@ let () =
            Vmbp_report.Par_runner.request_shutdown ();
            prerr_endline
              "\nbench: interrupted -- finishing in-flight cells (Ctrl-C \
-              again to force quit)"
+              again to force quit); nothing is saved -- run 'bin/main.exe \
+              report --store DIR' for a resumable full report"
          end))
 
 (* ------------------------------------------------------------------ *)
@@ -344,7 +333,7 @@ let () =
       in
       Printf.eprintf
         "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         bank %s replays / %s configs; journal %s served / %s appended; \
+         bank %s replays / %s configs; store %s hits / %s appended; \
          cells %s retries / %s timeouts; semantics %s runs / %s path \
          replays (%s path bytes)\n"
         (c "trace_cache.live_hits")
@@ -353,7 +342,7 @@ let () =
         (c "trace_cache.evictions")
         (c "trace.bank_replays")
         (c "trace.banked_configs")
-        (c "journal.served") (c "journal.appended") (c "cells.retries")
+        (c "store.hits") (c "store.appended") (c "cells.retries")
         (c "cells.timeouts") (c "engine.semantic_runs")
         (c "engine.path_replays") (c "engine.path_bytes");
       Printf.eprintf "wrote metrics to %s\n" file);

@@ -203,27 +203,6 @@ let trace_cap_arg =
            replay-many across CPUs).  0 or negative disables record/replay \
            and simulates every cell directly.")
 
-let journal_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"FILE"
-        ~doc:
-          "Append every completed cell's outcome to $(docv) as fsync'd \
-           JSONL, so an interrupted run loses nothing already finished; \
-           combine with $(b,--resume) to serve completed cells from the \
-           file instead of re-running them.")
-
-let resume_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "resume" ]
-        ~doc:
-          "Load the $(b,--journal) file first and serve matching cells \
-           from it (key + configuration fingerprint must both match); the \
-           resumed report is byte-identical to an uninterrupted run.")
-
 let cell_timeout_arg =
   Arg.(
     value
@@ -263,8 +242,8 @@ let chaos_arg =
           "Deterministic fault injection, e.g. \
            'cell-raise=2,seed=7' or 'worker-death=2+1' (skip 2 \
            opportunities, then fire once) or 'slow-cell=1@0.2'.  Points: \
-           cell-raise, record-fail, slow-cell, journal-io, worker-death, \
-           conn-drop, store-io, slow-client, pool-wedge.  For exercising \
+           cell-raise, record-fail, slow-cell, worker-death, conn-drop, \
+           store-io, slow-client, pool-wedge.  For exercising \
            the supervision and service paths; see EXPERIMENTS.md.")
 
 let self_check_arg =
@@ -313,7 +292,7 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
           "Collect phase-timing spans (layout, engine runs, record/replay, \
-           journal I/O, audits) and write them to $(docv) as Chrome \
+           store I/O, audits) and write them to $(docv) as Chrome \
            trace-event JSON, loadable in Perfetto or chrome://tracing.")
 
 let metrics_arg =
@@ -322,7 +301,7 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the process metrics registry (trace-cache and journal \
+          "Write the process metrics registry (trace-cache and store \
            counters, pool gauges, per-cell histograms) to $(docv) as JSON \
            (schema vmbp-metrics/1) and summarise the key counters on \
            stderr.")
@@ -336,8 +315,9 @@ let store_arg =
           "Serve completed cells from (and append fresh successes to) the \
            sharded, checksummed content-addressed store in $(docv) -- the \
            same store $(b,vmbp serve) answers from, so a report run warms \
-           the service and vice versa.  Corrupt records are skipped and \
-           counted on load.")
+           the service and vice versa.  Re-running a killed or interrupted \
+           run with the same $(docv) resumes it byte-identically.  Corrupt \
+           records are skipped and counted on load.")
 
 let store_shards_arg =
   Arg.(
@@ -401,13 +381,13 @@ let finish_obs trace_out metrics =
       in
       Printf.eprintf
         "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         journal %s served / %s appended; cells %s retries / %s timeouts; \
+         store %s hits / %s appended; cells %s retries / %s timeouts; \
          semantics %s runs / %s path replays (%s path bytes)\n"
         (c "trace_cache.live_hits")
         (c "trace_cache.memo_hits")
         (c "trace_cache.misses")
         (c "trace_cache.evictions")
-        (c "journal.served") (c "journal.appended") (c "cells.retries")
+        (c "store.hits") (c "store.appended") (c "cells.retries")
         (c "cells.timeouts") (c "engine.semantic_runs")
         (c "engine.path_replays") (c "engine.path_bytes");
       Printf.eprintf "wrote metrics to %s\n" file
@@ -415,8 +395,9 @@ let finish_obs trace_out metrics =
 let set_jobs jobs = Vmbp_report.Par_runner.default_jobs := max 1 jobs
 let set_trace_cap mb = Vmbp_report.Par_runner.trace_cap_mb := mb
 
-(* First Ctrl-C: drain in-flight cells, flush the journal (already fsync'd
-   per append), emit the report marked partial.  Second Ctrl-C: force. *)
+(* First Ctrl-C: drain in-flight cells (an installed store is already
+   fsync'd per append), emit the report marked partial.  Second Ctrl-C:
+   force. *)
 let install_sigint () =
   let seen = ref false in
   Sys.set_signal Sys.sigint
@@ -431,8 +412,8 @@ let install_sigint () =
               again to force quit)"
          end))
 
-let setup_supervision journal resume cell_timeout cell_retries chaos
-    self_check audit_sample repro_dir =
+let setup_supervision cell_timeout cell_retries chaos self_check
+    audit_sample repro_dir =
   Vmbp_report.Par_runner.cell_timeout := cell_timeout;
   Vmbp_report.Par_runner.cell_retries := max 0 cell_retries;
   Vmbp_report.Par_runner.self_check := self_check;
@@ -449,33 +430,36 @@ let setup_supervision journal resume cell_timeout cell_retries chaos
       | Error msg ->
           Printf.eprintf "vmbp: bad --chaos spec: %s\n" msg;
           exit 2));
-  (match (journal, resume) with
-  | Some file, resume -> Vmbp_report.Par_runner.set_journal ~file ~resume
-  | None, true ->
-      Printf.eprintf "vmbp: --resume requires --journal FILE\n";
-      exit 2
-  | None, false -> ());
   install_sigint ()
 
-let partial_marker () =
+(* How to pick an interrupted run back up: only a run with a store saved
+   its completed cells. *)
+let resume_advice = function
+  | Some dir ->
+      Printf.sprintf
+        "completed cells are in the store -- re-run with --store %s to \
+         continue"
+        dir
+  | None ->
+      "nothing was saved -- pass --store DIR to make the run resumable"
+
+let partial_marker store =
   if Vmbp_report.Par_runner.shutting_down () then begin
     print_newline ();
-    print_endline
+    Printf.printf
       "== PARTIAL REPORT: the run was interrupted; unfinished cells are \
-       reported as errors.  Re-run with --journal FILE --resume to \
-       complete it. =="
+       reported as errors; %s. ==\n"
+      (resume_advice store)
   end
 
 (* A worker death with no pool above it (sequential runs) stands in for a
-   killed process: completed cells are safe in the journal, so report a
-   resumable failure instead of an uncaught exception. *)
-let run_killable f =
+   killed process: report a resumable failure instead of an uncaught
+   exception. *)
+let run_killable store f =
   try f ()
   with Vmbp_report.Faults.Worker_killed ->
     flush stdout;
-    prerr_endline
-      "vmbp: worker killed; completed cells are in the journal -- re-run \
-       with --journal FILE --resume to continue";
+    prerr_endline ("vmbp: worker killed; " ^ resume_advice store);
     exit 70
 
 let write_json = function
@@ -507,13 +491,13 @@ let experiment_cmd =
   let scale =
     Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N")
   in
-  let run id scale jobs trace_cap json journal resume store store_shards
+  let run id scale jobs trace_cap json store store_shards
       cell_timeout cell_retries chaos self_check audit_sample repro_dir
       trace_out metrics progress =
     set_jobs jobs;
     set_trace_cap trace_cap;
-    setup_supervision journal resume cell_timeout cell_retries chaos
-      self_check audit_sample repro_dir;
+    setup_supervision cell_timeout cell_retries chaos self_check
+      audit_sample repro_dir;
     set_store store store_shards;
     setup_obs trace_out metrics progress;
     match Vmbp_report.Experiments.find id with
@@ -526,9 +510,9 @@ let experiment_cmd =
         in
         Printf.printf "== %s ==\n%s\n\n" e.Vmbp_report.Experiments.title
           e.Vmbp_report.Experiments.paper_claim;
-        run_killable (fun () ->
+        run_killable store (fun () ->
             print_table (e.Vmbp_report.Experiments.run ~scale));
-        partial_marker ();
+        partial_marker store;
         write_json json;
         finish_obs trace_out metrics;
         Vmbp_report.Par_runner.clear_store ();
@@ -537,10 +521,9 @@ let experiment_cmd =
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
       const run $ id $ scale $ jobs_arg $ trace_cap_arg $ json_arg
-      $ journal_arg $ resume_arg $ store_arg $ store_shards_arg
-      $ cell_timeout_arg $ cell_retries_arg $ chaos_arg $ self_check_arg
-      $ audit_sample_arg $ repro_dir_arg $ trace_out_arg $ metrics_arg
-      $ progress_arg)
+      $ store_arg $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg
+      $ chaos_arg $ self_check_arg $ audit_sample_arg $ repro_dir_arg
+      $ trace_out_arg $ metrics_arg $ progress_arg)
 
 (* ---------------- audit-repro ---------------- *)
 
@@ -583,16 +566,16 @@ let report_cmd =
   let scale =
     Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N")
   in
-  let run scale jobs trace_cap json journal resume store store_shards
+  let run scale jobs trace_cap json store store_shards
       cell_timeout cell_retries chaos self_check audit_sample repro_dir
       trace_out metrics progress =
     set_jobs jobs;
     set_trace_cap trace_cap;
-    setup_supervision journal resume cell_timeout cell_retries chaos
-      self_check audit_sample repro_dir;
+    setup_supervision cell_timeout cell_retries chaos self_check
+      audit_sample repro_dir;
     set_store store store_shards;
     setup_obs trace_out metrics progress;
-    run_killable (fun () ->
+    run_killable store (fun () ->
         List.iter
           (fun (e : Vmbp_report.Experiments.t) ->
             let s =
@@ -604,7 +587,7 @@ let report_cmd =
             print_table (e.Vmbp_report.Experiments.run ~scale:s);
             print_newline ())
           Vmbp_report.Experiments.all);
-    partial_marker ();
+    partial_marker store;
     write_json json;
     finish_obs trace_out metrics;
     Vmbp_report.Par_runner.clear_store ();
@@ -612,10 +595,10 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ scale $ jobs_arg $ trace_cap_arg $ json_arg $ journal_arg
-      $ resume_arg $ store_arg $ store_shards_arg $ cell_timeout_arg
-      $ cell_retries_arg $ chaos_arg $ self_check_arg $ audit_sample_arg
-      $ repro_dir_arg $ trace_out_arg $ metrics_arg $ progress_arg)
+      const run $ scale $ jobs_arg $ trace_cap_arg $ json_arg $ store_arg
+      $ store_shards_arg $ cell_timeout_arg $ cell_retries_arg $ chaos_arg
+      $ self_check_arg $ audit_sample_arg $ repro_dir_arg $ trace_out_arg
+      $ metrics_arg $ progress_arg)
 
 (* ---------------- serve / loadgen / client ---------------- *)
 
@@ -1180,21 +1163,25 @@ let () =
      Virtual Machine Interpreters'"
   in
   let info = Cmd.info "vmbp" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd;
-            run_cmd;
-            trace_cmd;
-            experiment_cmd;
-            report_cmd;
-            serve_cmd;
-            loadgen_cmd;
-            client_cmd;
-            top_cmd;
-            simulate_cmd;
-            store_cmd;
-            explain_cmd;
-            audit_repro_cmd;
-          ]))
+  let status =
+    Cmd.eval
+      (Cmd.group info
+         [
+           list_cmd;
+           run_cmd;
+           trace_cmd;
+           experiment_cmd;
+           report_cmd;
+           serve_cmd;
+           loadgen_cmd;
+           client_cmd;
+           top_cmd;
+           simulate_cmd;
+           store_cmd;
+           explain_cmd;
+           audit_repro_cmd;
+         ])
+  in
+  (* Usage errors (unknown or malformed options) exit 2, like
+     bench/main.exe's, rather than cmdliner's 124. *)
+  exit (if status = Cmd.Exit.cli_error then 2 else status)

@@ -7,8 +7,9 @@ Cells are keyed by (tag, vm, workload, technique, cpu, scale, predictor)
 and compared field by field on everything the simulator determines --
 ok, cycles, mispredict_rate, mispredicts, icache_misses, vm_instrs,
 code_bytes, error.  Wall-clock, serve time, production mode, attempts
-and journal provenance are environment, not simulation, and are ignored,
-so a vmbp-cells/6 run is comparable against an older-schema baseline.
+and store provenance (from_store, from_journal before vmbp-cells/9) are
+environment, not simulation, and are ignored, so a vmbp-cells/9 run is
+comparable against an older-schema baseline.
 
 Exits non-zero listing every differing cell, any cell present on only
 one side, or a cell-count mismatch against --expect-cells.

@@ -19,7 +19,7 @@ val descriptor : kind -> string
     ["btb(512,4,false)"] or ["twolevel(1024,4)"].  Distinct configurations
     produce distinct strings (the constructors use disjoint prefixes and
     spell out every field), so the string is a safe key for memo tables and
-    journal fingerprints.  Stable across runs -- the resume journal embeds
+    store fingerprints.  Stable across runs -- store fingerprints embed
     it -- so changing a format is a schema change. *)
 
 type t

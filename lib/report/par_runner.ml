@@ -28,7 +28,7 @@ type timed = {
   mode : mode;
   attempts : int;
   timed_out : bool;
-  from_journal : bool;
+  from_store : bool;
   audited : bool;
 }
 
@@ -177,8 +177,9 @@ let retry_backoff_s = ref 0.02
 
    The first Ctrl-C sets this flag; workers finish the group in hand,
    skip everything still queued, and [run_cells] reports the skipped
-   cells as interrupted so the harness can emit a partial report.  The
-   journal needs no extra flushing -- every append was already fsync'd. *)
+   cells as interrupted so the harness can emit a partial report.  An
+   installed store needs no extra flushing -- every append was already
+   fsync'd. *)
 
 let shutdown = Atomic.make false
 let request_shutdown () = Atomic.set shutdown true
@@ -477,13 +478,14 @@ let trace_cache_bytes () =
   b
 
 (* ------------------------------------------------------------------ *)
-(* Cell identity for the resume journal.
+(* Cell identity.
 
    The key is human-readable and parameter-complete (a collapsed label
    like "static repl" must not alias two different replica counts); the
+   audit sampler and oracle repro artifacts name cells by it.  The
    fingerprint is a digest of everything else that could change a cell's
    numbers between runs -- scale, the full CPU profile, the predictor
-   override, the trace setting -- so a journal written under one
+   override, the trace setting -- so a store record written under one
    configuration is never wrongly served to another. *)
 
 let predictor_override_descriptor = function
@@ -510,6 +512,9 @@ let config_fingerprint c =
     (Digest.string
        (String.concat ";"
           [
+            (* A historical name, kept verbatim: changing it would change
+               every fingerprint and orphan the records of existing
+               stores. *)
             "vmbp-journal/1";
             string_of_int c.scale;
             cpu_descriptor c.cpu;
@@ -562,11 +567,11 @@ let result_find c =
     found
   end
 
-(* Only genuinely computed successes are stored: journal-served outcomes
+(* Only genuinely computed successes are cached: store-served outcomes
    were computed under a possibly different configuration of a previous
    process, and failures may be transient (timeouts, injected faults). *)
 let result_store c (t : timed) =
-  if result_enabled () && not t.from_journal then
+  if result_enabled () && not t.from_store then
     match t.outcome with
     | Ok run ->
         Mutex.lock result_lock;
@@ -581,70 +586,17 @@ let clear_result_cache () =
   Hashtbl.reset result_cache;
   Mutex.unlock result_lock
 
-let journal : Journal.t option ref = ref None
-
-let set_journal ~file ~resume =
-  (match !journal with Some j -> Journal.close j | None -> ());
-  journal := Some (Journal.open_ ~resume file)
-
-let clear_journal () =
-  (match !journal with Some j -> Journal.close j | None -> ());
-  journal := None
-
-let journal_stats () = Option.map Journal.stats !journal
-
-(* Persist a freshly computed cell.  Successes are always worth keeping.
-   Failures are kept only when they look deterministic: a timeout is
-   wall-clock luck and a chaos-armed run's failures are injected, so both
-   must be recomputed on resume rather than replayed from disk. *)
-let journal_append c (t : timed) =
-  match !journal with
-  | None -> ()
-  | Some j ->
-      let worthy =
-        (not t.from_journal)
-        && t.attempts > 0
-        &&
-        match t.outcome with
-        | Ok _ -> true
-        | Error _ -> (not t.timed_out) && not (Faults.armed ())
-      in
-      if worthy then
-        Vmbp_obs.Span.with_ ~name:"journal-append"
-          ~args:[ ("cell", cell_name c) ]
-        @@ fun () ->
-        let outcome =
-          match t.outcome with
-          | Ok r ->
-              Ok
-                {
-                  Journal.metrics =
-                    Metrics.copy r.Runner.result.Engine.metrics;
-                  steps = r.Runner.result.Engine.steps;
-                  output = r.Runner.output;
-                }
-          | Error msg -> Error msg
-        in
-        Journal.append j
-          {
-            Journal.key = cell_key c;
-            fingerprint = config_fingerprint c;
-            outcome;
-            attempts = t.attempts;
-            timed_out = t.timed_out;
-          }
-
-(* Rebuild the exact [timed] a live run would have produced from a journal
-   entry.  Only integer event counters ever touch the disk; cycles and
+(* Rebuild the exact [timed] a live run would have produced from a store
+   record.  Only integer event counters ever touch the disk; cycles and
    seconds are recomputed through the same {!Cpu_model} arithmetic as a
    live run, so a resumed report is byte-identical by construction.  A
-   journaled success is by definition untrapped ({!Runner.run} turns traps
-   into [Error] cells before they reach the journal). *)
-let timed_of_entry c (e : Journal.entry) =
+   stored success is by definition untrapped ({!Runner.run} turns traps
+   into [Error] cells before they reach the store). *)
+let timed_of_entry c (e : Vmbp_store.Cellrec.entry) =
   let outcome =
-    match e.Journal.outcome with
+    match e.Vmbp_store.Cellrec.outcome with
     | Ok s ->
-        let m = Metrics.copy s.Journal.metrics in
+        let m = Metrics.copy s.Vmbp_store.Cellrec.metrics in
         Ok
           {
             Runner.workload = c.workload;
@@ -655,10 +607,10 @@ let timed_of_entry c (e : Journal.entry) =
                 Engine.metrics = m;
                 cycles = Cpu_model.cycles c.cpu m;
                 seconds = Cpu_model.seconds c.cpu m;
-                steps = s.Journal.steps;
+                steps = s.Vmbp_store.Cellrec.steps;
                 trapped = None;
               };
-            output = s.Journal.output;
+            output = s.Vmbp_store.Cellrec.output;
             replayed = false;
           }
     | Error msg -> Error msg
@@ -669,24 +621,20 @@ let timed_of_entry c (e : Journal.entry) =
     wall_seconds = 0.;
     serve_seconds = 0.;
     mode = Replay;
-    attempts = e.Journal.attempts;
-    timed_out = e.Journal.timed_out;
-    from_journal = true;
+    attempts = e.Vmbp_store.Cellrec.attempts;
+    timed_out = e.Vmbp_store.Cellrec.timed_out;
+    from_store = true;
     audited = false;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Content-addressed result store.
+(* Content-addressed result store: the one way a cell persists.
 
-   Where the journal is a per-run crash log (resume only trusts entries
-   from a previous process), the store is a durable cross-run result
-   service: cells are addressed by the tagless parameter-complete key --
-   the same identity the full-result cache uses -- so a store warmed by a
-   grid run serves any later query for the same configuration, whatever
-   experiment tag asked for it.  Both layers share the record codec
-   ({!Vmbp_store.Cellrec}) and the configuration fingerprint, so a
-   store-served cell is byte-identical to a freshly computed one by the
-   same argument as a journal-resumed cell. *)
+   Cells are addressed by the tagless parameter-complete key -- the same
+   identity the full-result cache uses -- so a store warmed by a grid run
+   serves any later query for the same configuration, whatever experiment
+   tag asked for it, and a killed run re-run on the same store resumes
+   from every cell it finished. *)
 
 (* The store sits below the fault harness in the library graph, so the
    [store-io] chaos point reaches it through this hook. *)
@@ -710,7 +658,7 @@ let store_compact () = Option.iter Vmbp_store.Store.compact !store
 let store_key = result_key
 
 (* Serve one cell from the store, if present.  Served cells carry
-   [from_journal = true]: the flag means "reconstructed from disk, no
+   [from_store = true]: the flag means "reconstructed from disk, no
    simulator ran", and every downstream policy (no re-append, no result
    cache, no audit) wants exactly that treatment. *)
 let store_lookup c =
@@ -736,7 +684,7 @@ let store_append c (t : timed) =
   | None -> ()
   | Some s -> (
       match t.outcome with
-      | Ok r when (not t.from_journal) && t.attempts > 0 ->
+      | Ok r when (not t.from_store) && t.attempts > 0 ->
           let key = store_key c and fingerprint = config_fingerprint c in
           if not (Vmbp_store.Store.mem s ~key ~fingerprint) then
             Vmbp_obs.Span.with_ ~name:"store-append"
@@ -849,7 +797,7 @@ let run_cell c =
     mode = Direct;
     attempts;
     timed_out;
-    from_journal = false;
+    from_store = false;
     audited = !self_check;
   }
 
@@ -871,7 +819,7 @@ let replay_cell mode tr c =
     mode;
     attempts;
     timed_out;
-    from_journal = false;
+    from_store = false;
     audited = false;
   }
 
@@ -903,7 +851,7 @@ let memo_cells entry arr idxs =
                    mode = Replay;
                    attempts = 1;
                    timed_out = false;
-                   from_journal = false;
+                   from_store = false;
                    audited = false;
                  } )
               :: acc)
@@ -961,7 +909,7 @@ let fast_path (t : timed) =
 
 let audit_crosscheck c (t : timed) =
   if
-    t.from_journal || (not (fast_path t)) || !self_check
+    t.from_store || (not (fast_path t)) || !self_check
     || not (Audit.sampled ~key:(cell_key c) ~rate:!audit_sample)
   then t
   else begin
@@ -1020,9 +968,9 @@ let audit_crosscheck c (t : timed) =
    replay every cell against its own CPU/predictor.  Any recording problem
    (cap exceeded, load/build/run exception) falls back to direct per-cell
    simulation, which reproduces exactly what the pre-trace runner did.
-   Every completed cell is journaled the moment its slot is filled, so a
+   Every completed success is stored the moment its slot is filled, so a
    crash loses at most the group in flight.  Already-filled slots (served
-   from the journal, or filled before a degradation rerun) are skipped,
+   from the store, or filled before a degradation rerun) are skipped,
    which makes the group idempotent under fallback. *)
 let run_group results arr idxs =
   let finish i t =
@@ -1032,7 +980,6 @@ let run_group results arr idxs =
     Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
     if t.timed_out then Vmbp_obs.Registry.add m_cell_timeouts 1;
     Vmbp_obs.Registry.observe h_cell_wall t.wall_seconds;
-    journal_append arr.(i) t;
     store_append arr.(i) t;
     progress_cell_done ();
     progress_tick ()
@@ -1188,7 +1135,7 @@ let run_group results arr idxs =
                   mode = Replay;
                   attempts = 1;
                   timed_out = false;
-                  from_journal = false;
+                  from_store = false;
                   audited = false;
                 }
         end)
@@ -1247,7 +1194,7 @@ let group_cells arr =
   List.rev_map (fun (_, l) -> List.rev !l) !groups
 
 (* A cell skipped because shutdown was requested before it ran.
-   [attempts = 0] keeps it out of the journal: nothing was computed. *)
+   [attempts = 0] keeps it out of the store: nothing was computed. *)
 let interrupted_cell c =
   {
     cell = c;
@@ -1257,7 +1204,7 @@ let interrupted_cell c =
     mode = Direct;
     attempts = 0;
     timed_out = false;
-    from_journal = false;
+    from_store = false;
     audited = false;
   }
 
@@ -1271,7 +1218,7 @@ let abandoned_cell c =
     mode = Direct;
     attempts = 0;
     timed_out = false;
-    from_journal = false;
+    from_store = false;
     audited = false;
   }
 
@@ -1351,44 +1298,20 @@ let run_cells ?jobs cells =
   in
   let arr = Array.of_list cells in
   let results = Array.make (Array.length arr) None in
-  (* Resume pre-pass: serve journaled cells before planning any work, so a
-     fully journaled group neither records nor replays anything. *)
   progress_begin (Array.length arr);
-  (match !journal with
-  | None -> ()
-  | Some j ->
-      Vmbp_obs.Span.with_ ~name:"journal-serve" (fun () ->
-          Array.iteri
-            (fun i c ->
-              let t0 = Vmbp_sim.Env.now () in
-              match
-                Journal.lookup j ~key:(cell_key c)
-                  ~fingerprint:(config_fingerprint c)
-              with
-              | Some e ->
-                  let t = timed_of_entry c e in
-                  (* A journal-served cell re-ran no simulator; the lookup
-                     and reconstruction time is all it cost. *)
-                  let serve = Vmbp_sim.Env.now () -. t0 in
-                  results.(i) <- Some { t with serve_seconds = serve };
-                  progress_cell_done ()
-              | None -> ())
-            arr));
-  (* Store pre-pass: same shape as the journal's, consulted second so an
-     installed journal keeps its resume semantics (and its stats) for
-     cells both layers hold. *)
+  (* Resume pre-pass: serve stored cells before planning any work, so a
+     fully stored group neither records nor replays anything. *)
   (match !store with
   | None -> ()
   | Some _ ->
       Vmbp_obs.Span.with_ ~name:"store-serve" (fun () ->
           Array.iteri
             (fun i c ->
-              if results.(i) = None then
-                match store_lookup c with
-                | Some t ->
-                    results.(i) <- Some t;
-                    progress_cell_done ()
-                | None -> ())
+              match store_lookup c with
+              | Some t ->
+                  results.(i) <- Some t;
+                  progress_cell_done ()
+              | None -> ())
             arr));
   let groups =
     List.filter_map
@@ -1404,7 +1327,7 @@ let run_cells ?jobs cells =
     (* Sequential path, bit-for-bit the reference for the pool.  A worker
        death here has no pool above it to respawn into, so it escapes
        [run_cells] entirely -- deliberately: it is the fault harness's
-       stand-in for a killed process (the journal keeps everything
+       stand-in for a killed process (an installed store keeps everything
        completed so far; the harness maps it to a resumable exit). *)
     List.iter
       (fun g ->
@@ -1510,7 +1433,7 @@ let json_of_timed t =
   add ",\"mode\":\"%s\"" (mode_name t.mode);
   add ",\"attempts\":%d" t.attempts;
   add ",\"timed_out\":%b" t.timed_out;
-  add ",\"from_journal\":%b" t.from_journal;
+  add ",\"from_store\":%b" t.from_store;
   if t.audited then add ",\"audited\":true";
   add ",\"wall_seconds\":%s" (json_float t.wall_seconds);
   add ",\"serve_seconds\":%s" (json_float t.serve_seconds);
@@ -1527,26 +1450,27 @@ let json_summary ?jobs results =
   in
   (* [engine_runs] counts cells whose numbers came from a fresh VM
      execution: every live direct cell plus one per recorded group.
-     Replayed and journal-served cells re-ran no VM semantics; cells
+     Replayed and store-served cells re-ran no VM semantics; cells
      skipped by a shutdown ([attempts = 0]) ran nothing at all. *)
   let live m =
     List.length
       (List.filter
-         (fun t -> t.mode = m && (not t.from_journal) && t.attempts > 0)
+         (fun t -> t.mode = m && (not t.from_store) && t.attempts > 0)
          results)
   in
   let countp p = List.length (List.filter p results) in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"vmbp-cells/8\"";
+  Buffer.add_string b "{\"schema\":\"vmbp-cells/9\"";
   Buffer.add_string b (Printf.sprintf ",\"jobs\":%d" jobs);
   Buffer.add_string b
     (Printf.sprintf ",\"cells\":%d" (List.length results));
   Buffer.add_string b
     (Printf.sprintf ",\"engine_runs\":%d" (live Direct + live Record));
   Buffer.add_string b (Printf.sprintf ",\"replays\":%d" (live Replay));
+  (* vmbp-cells/9: cells served from the store, no simulator run. *)
   Buffer.add_string b
-    (Printf.sprintf ",\"from_journal\":%d"
-       (countp (fun t -> t.from_journal)));
+    (Printf.sprintf ",\"from_store\":%d"
+       (countp (fun t -> t.from_store)));
   Buffer.add_string b
     (Printf.sprintf ",\"retries\":%d"
        (List.fold_left (fun a t -> a + max 0 (t.attempts - 1)) 0 results));
@@ -1554,7 +1478,7 @@ let json_summary ?jobs results =
     (Printf.sprintf ",\"timeouts\":%d" (countp (fun t -> t.timed_out)));
   Buffer.add_string b
     (Printf.sprintf ",\"interrupted\":%d"
-       (countp (fun t -> t.attempts = 0 && not t.from_journal)));
+       (countp (fun t -> t.attempts = 0 && not t.from_store)));
   Buffer.add_string b
     (Printf.sprintf ",\"injected_faults\":%d" (Faults.total_injected ()));
   Buffer.add_string b
@@ -1639,14 +1563,6 @@ let json_summary ?jobs results =
     (Printf.sprintf ",\"audited\":%d" (countp (fun t -> t.audited)));
   Buffer.add_string b
     (Printf.sprintf ",\"divergences\":%d" (Audit.divergence_count ()));
-  (match journal_stats () with
-  | None -> ()
-  | Some s ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"journal\":{\"loaded\":%d,\"served\":%d,\"appended\":%d,\"write_errors\":%d,\"truncated\":%d}"
-           s.Journal.loaded s.Journal.served s.Journal.appended
-           s.Journal.write_errors s.Journal.truncated));
   (match store_stats () with
   | None -> ()
   | Some s ->
@@ -1669,7 +1585,7 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"replay_wall_seconds\":%s" (json_float (wall Replay)));
   (* vmbp-cells/4: time spent serving cells without any simulation at all
-     (journal lookups and memo-table replays). *)
+     (store lookups and memo-table replays). *)
   Buffer.add_string b
     (Printf.sprintf ",\"serve_wall_seconds\":%s"
        (json_float

@@ -1,10 +1,10 @@
 (** The repo's line-oriented JSON dialect: one flat object per line, every
     field a scalar (string / int / float / bool / null).
 
-    Promoted from the journal so the store, the journal and the service
-    protocol share one codec.  The writer side stays hand-rolled
-    [Buffer]s at each call site (the objects differ); this module owns
-    the two halves they all need: string escaping and the strict parser.
+    The store's records and the service protocol share this one codec.
+    The writer side stays hand-rolled [Buffer]s at each call site (the
+    objects differ); this module owns the two halves they all need:
+    string escaping and the strict parser.
     The parser accepts exactly what the writers emit -- anything else
     raises {!Bad}, which callers turn into a counted skip or a protocol
     error, never a crash. *)

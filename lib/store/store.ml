@@ -84,7 +84,7 @@ let load_shard t path =
                       e.Cellrec.fingerprint;
                     t.loaded <- t.loaded + 1
                 | None -> t.corrupt <- t.corrupt + 1)
-            | Frame.Legacy _ | Frame.Corrupt -> t.corrupt <- t.corrupt + 1)
+            | Frame.Corrupt -> t.corrupt <- t.corrupt + 1)
         (Vmbp_sim.Env.lines_of_contents contents)
 
 let open_ ?(shards = 8) dir =
@@ -324,7 +324,7 @@ let scrub dir =
                           records :=
                             (e.Cellrec.key, e.Cellrec.fingerprint) :: !records
                       | None -> incr corrupt)
-                  | Frame.Legacy _ | Frame.Corrupt -> incr corrupt)
+                  | Frame.Corrupt -> incr corrupt)
               (Vmbp_sim.Env.lines_of_contents contents));
         (f, List.rev !records, !corrupt))
       shard_files
