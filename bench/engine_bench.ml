@@ -13,7 +13,8 @@
    A last layer, [bank], times the banked simulator kernels alone
    ([Trace.replay_bank]) on one recorded trace: ns per event-config for
    a bank of each predictor kind (BTB, two-level, case-block) and for a
-   bank of I-cache geometries.
+   bank of I-cache geometries, then the whole grid as one bank on one
+   domain and spread over [Domain.recommended_domain_count] lanes.
 
    Each layer runs the same workloads/techniques on pre-built layouts, so
    the numbers isolate interpreter overhead from load/profile/build cost.
@@ -21,7 +22,8 @@
    than the legacy loop it replaced (--check, with slack for noise), the
    replayed loop must not be slower than the translated loop with real
    semantics, every layer must execute the same number of steps, and the
-   banked counters must equal singleton per-configuration replays exactly.
+   banked counters must equal singleton per-configuration replays exactly,
+   and the lane-parallel bank's counters must equal the one-domain bank's.
    Bank timings are printed only, never gated. *)
 
 let workload_name = ref "brainless"
@@ -247,23 +249,41 @@ let bank_layer () =
     bank_kinds;
   time "icache" ~events:(T.fetch_events tr) (fun () ->
       T.replay_bank tr ~predictors:[] ~icaches:bank_icaches);
-  let control = record_trace () in
-  let p0 = List.hd (snd (List.hd bank_kinds)) in
-  let differs ~cpu ~predictor =
-    T.replay tr ~cpu ~predictor <> T.replay control ~cpu ~predictor
+  (* The whole grid as one bank, on one domain and spread over lanes. *)
+  let predictors = List.concat_map snd bank_kinds in
+  let width = Domain.recommended_domain_count () in
+  let lanes domains =
+    let tr = record_trace () in
+    let t0 = Unix.gettimeofday () in
+    ignore (T.replay_bank ~domains tr ~predictors ~icaches:bank_icaches : int);
+    (tr, Unix.gettimeofday () -. t0)
   in
-  let ic0 = List.hd bank_icaches in
-  List.filter_map
-    (fun predictor ->
-      if differs ~cpu:(cpu ic0) ~predictor then
-        Some (Predictor.descriptor predictor)
-      else None)
-    (List.concat_map snd bank_kinds)
-  @ List.filter_map
-      (fun ic ->
-        if differs ~cpu:(cpu ic) ~predictor:p0 then Some (Icache.descriptor ic)
+  let one, t1 = lanes 1 in
+  let wide, tw = lanes width in
+  Printf.printf
+    "    %-12s %3d configs %8.3fs at width 1, %.3fs at width %d: %.2fx\n%!"
+    "lanes"
+    (List.length predictors + List.length bank_icaches)
+    t1 tw width (t1 /. tw);
+  let control = record_trace () in
+  let p0 = List.hd predictors and ic0 = List.hd bank_icaches in
+  let cells =
+    List.map (fun p -> (Predictor.descriptor p, cpu ic0, p)) predictors
+    @ List.map (fun ic -> (Icache.descriptor ic, cpu ic, p0)) bank_icaches
+  in
+  let diverged what a b =
+    List.filter_map
+      (fun (name, cpu, predictor) ->
+        let x = a ~cpu ~predictor in
+        if x = None || x <> b ~cpu ~predictor then Some (name ^ what)
         else None)
-      bank_icaches
+      cells
+  in
+  let replay tr ~cpu ~predictor = Some (T.replay tr ~cpu ~predictor) in
+  diverged "" (replay tr) (replay control)
+  @ diverged
+      (Printf.sprintf " at width %d" width)
+      (T.replay_memo one) (T.replay_memo wide)
 
 let () =
   let layers =
@@ -302,7 +322,8 @@ let () =
   let bank_diverged = bank_layer () in
   if !check then begin
     if bank_diverged <> [] then
-      fail "banked counters differ from singleton replays for %s"
+      fail "banked counters differ from singleton replays or from the \
+            one-domain bank for %s"
         (String.concat ", " bank_diverged);
     let steps = fst (List.assoc "translated" rates) in
     List.iter

@@ -381,12 +381,15 @@ let finish_obs trace_out metrics =
       in
       Printf.eprintf
         "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         store %s hits / %s appended; cells %s retries / %s timeouts; \
-         semantics %s runs / %s path replays (%s path bytes)\n"
+         bank %s lanes (%s on helpers); store %s hits / %s appended; \
+         cells %s retries / %s timeouts; semantics %s runs / %s path \
+         replays (%s path bytes)\n"
         (c "trace_cache.live_hits")
         (c "trace_cache.memo_hits")
         (c "trace_cache.misses")
         (c "trace_cache.evictions")
+        (c "trace.bank_lanes")
+        (c "trace.bank_helper_lanes")
         (c "store.hits") (c "store.appended") (c "cells.retries")
         (c "cells.timeouts") (c "engine.semantic_runs")
         (c "engine.path_replays") (c "engine.path_bytes");

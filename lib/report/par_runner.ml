@@ -712,6 +712,21 @@ let store_append c (t : timed) =
 
 exception Cell_deadline
 
+(* The poll hook of work that started at [t0]: ticks the progress
+   heartbeat and, under [--cell-timeout], raises [Cell_deadline] once the
+   deadline passes.  [None] when neither is on. *)
+let deadline_poll t0 =
+  let t = !cell_timeout in
+  if t > 0. then begin
+    let deadline = t0 +. t in
+    Some
+      (fun () ->
+        progress_tick ();
+        if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
+  end
+  else if !progress then Some progress_tick
+  else None
+
 (* Run one cell attempt under the watchdog/retry policy.  The body gets a
    poll hook (threaded into the engine's step loop and the trace replay's
    token loop) that raises once the attempt's deadline passes, so direct
@@ -725,18 +740,7 @@ exception Cell_deadline
 let supervised body =
   let retries = max 0 !cell_retries in
   let rec attempt n =
-    let poll =
-      let t = !cell_timeout in
-      if t > 0. then begin
-        let deadline = Vmbp_sim.Env.now () +. t in
-        Some
-          (fun () ->
-            progress_tick ();
-            if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
-      end
-      else if !progress then Some progress_tick
-      else None
-    in
+    let poll = deadline_poll (Vmbp_sim.Env.now ()) in
     let verdict =
       match
         (* The slow-cell chaos point stalls after the deadline is armed:
@@ -964,6 +968,14 @@ let audit_crosscheck c (t : timed) =
     end
   end
 
+(* The smallest bank worth spreading over lanes, in event-configs (stream
+   events times fresh configurations).  One helper domain's spawn+join
+   measured 1.4 ms on the reference box, and a sweep bank there runs at
+   about 12.7 ns per event-config (3.18 s of bank self time over 251M
+   event-configs), so 11M event-configs, about 140 ms, keep a spawn+join
+   under 1% of the bank. *)
+let lane_min_work = 11_000_000
+
 (* One (workload, technique, scale) group: find or record its trace, then
    replay every cell against its own CPU/predictor.  Any recording problem
    (cap exceeded, load/build/run exception) falls back to direct per-cell
@@ -972,7 +984,7 @@ let audit_crosscheck c (t : timed) =
    crash loses at most the group in flight.  Already-filled slots (served
    from the store, or filled before a degradation rerun) are skipped,
    which makes the group idempotent under fallback. *)
-let run_group results arr idxs =
+let run_group ~bank_domains results arr idxs =
   let finish i t =
     let t = audit_crosscheck arr.(i) t in
     results.(i) <- Some t;
@@ -996,35 +1008,31 @@ let run_group results arr idxs =
      runs under the group-level deadline, like recording; any failure (a
      deadline, an invalid configuration) just leaves configurations
      un-memoized, and the per-cell path re-simulates them under its own
-     watchdog and reports its own error.  Returns the seconds spent, for
-     billing to the group's first live cell. *)
+     watchdog and reports its own error.  A bank of at least
+     [lane_min_work] event-configs is spread over [bank_domains] lanes.
+     Returns the seconds spent, for billing to the group's first live
+     cell. *)
   let bank_group entry idxs =
     match List.filter (fun i -> results.(i) = None) idxs with
     | [] -> 0.
     | pending ->
         let t0 = Vmbp_sim.Env.now () in
-        let poll =
-          let t = !cell_timeout in
-          if t > 0. then begin
-            let deadline = t0 +. t in
-            Some
-              (fun () ->
-                progress_tick ();
-                if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
-          end
-          else if !progress then Some progress_tick
-          else None
+        let poll = deadline_poll t0 in
+        let configs =
+          List.map (fun i -> (arr.(i).cpu, arr.(i).predictor)) pending
         in
         (match
            Vmbp_obs.Span.with_ ~name:"bank"
              ~args:[ ("cell", cell_name arr.(List.hd pending)) ]
              (fun () ->
-               Runner.replay_bank ?poll
-                 ~configs:
-                   (List.map
-                      (fun i -> (arr.(i).cpu, arr.(i).predictor))
-                      pending)
-                 entry.ce_trace)
+               let domains =
+                 if
+                   bank_domains > 1
+                   && Runner.bank_work ~configs entry.ce_trace >= lane_min_work
+                 then bank_domains
+                 else 1
+               in
+               Runner.replay_bank ?poll ~domains ~configs entry.ce_trace)
          with
         | fresh -> if fresh > 0 then note_bank fresh
         | exception Faults.Worker_killed -> raise Faults.Worker_killed
@@ -1065,18 +1073,7 @@ let run_group results arr idxs =
        per-cell deadline; a record timeout is caught by [Runner.record]'s
        guard as [`Failed], degrading to direct runs where each cell gets
        its own deadline. *)
-    let poll =
-      let t = !cell_timeout in
-      if t > 0. then begin
-        let deadline = t0 +. t in
-        Some
-          (fun () ->
-            progress_tick ();
-            if Vmbp_sim.Env.now () > deadline then raise Cell_deadline)
-      end
-      else if !progress then Some progress_tick
-      else None
-    in
+    let poll = deadline_poll t0 in
     match
       Vmbp_obs.Span.with_ ~name:"record"
         ~args:[ ("cell", cell_name c0) ]
@@ -1251,7 +1248,7 @@ let run_pool ~jobs results arr groups =
                  index. *)
               match
                 Faults.worker_death ();
-                run_group results arr g
+                run_group ~bank_domains:1 results arr g
               with
               | () -> loop ()
               | exception Faults.Worker_killed ->
@@ -1277,7 +1274,7 @@ let run_pool ~jobs results arr groups =
           (fun g ->
             match
               Faults.worker_death ();
-              run_group results arr g
+              run_group ~bank_domains:1 results arr g
             with
             | () -> ()
             | exception Faults.Worker_killed ->
@@ -1328,12 +1325,15 @@ let run_cells ?jobs cells =
        death here has no pool above it to respawn into, so it escapes
        [run_cells] entirely -- deliberately: it is the fault harness's
        stand-in for a killed process (an installed store keeps everything
-       completed so far; the harness maps it to a resumable exit). *)
+       completed so far; the harness maps it to a resumable exit).  No
+       pool runs beside it, so a large bank spreads its lanes over every
+       core the process may use. *)
+    let bank_domains = Domain.recommended_domain_count () in
     List.iter
       (fun g ->
         if not (shutting_down ()) then begin
           Faults.worker_death ();
-          run_group results arr g
+          run_group ~bank_domains results arr g
         end)
       groups
   else run_pool ~jobs results arr groups;

@@ -8,10 +8,13 @@
     trapped workload degrades to a reported failure instead of killing the
     whole report.
 
-    With [jobs = 1] (the default) no domain is spawned and cells run
+    With [jobs = 1] (the default) no pool is spawned and groups run
     sequentially in submission order, which is bit-for-bit the reference
     behaviour for the pool: the simulated numbers do not depend on the job
-    count, only wall-clock time does.
+    count, only wall-clock time does.  There, a bank of at least 11M
+    event-configs spreads its lanes over
+    [Domain.recommended_domain_count ()] domains ({!Runner.replay_bank});
+    pool workers keep their banks on their own domain.
 
     Every cell run through this module is also appended to a session log
     ({!drain_log}) carrying per-cell wall-clock timings, which the bench and

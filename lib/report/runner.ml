@@ -282,16 +282,23 @@ let replay ?poll ?predictor ~cpu tr =
     (Trace.replay ?poll tr.t_data ~cpu
        ~predictor:(Config.predictor_kind config))
 
-let replay_bank ?poll ~configs tr =
-  let resolved =
-    List.map
-      (fun (cpu, predictor) ->
-        let config = Config.make ~cpu ?predictor tr.t_technique in
-        (Config.predictor_kind config, cpu.Vmbp_machine.Cpu_model.icache))
-      configs
-  in
-  Trace.replay_bank ?poll tr.t_data ~predictors:(List.map fst resolved)
-    ~icaches:(List.map snd resolved)
+(* The effective predictor kinds and I-cache geometries of (cpu,
+   predictor override) pairs, resolved as {!replay} resolves them. *)
+let bank_configs ~configs tr =
+  List.split
+    (List.map
+       (fun (cpu, predictor) ->
+         let config = Config.make ~cpu ?predictor tr.t_technique in
+         (Config.predictor_kind config, cpu.Vmbp_machine.Cpu_model.icache))
+       configs)
+
+let replay_bank ?poll ?domains ~configs tr =
+  let predictors, icaches = bank_configs ~configs tr in
+  Trace.replay_bank ?poll ?domains tr.t_data ~predictors ~icaches
+
+let bank_work ~configs tr =
+  let predictors, icaches = bank_configs ~configs tr in
+  Trace.bank_work tr.t_data ~predictors ~icaches
 
 let replay_memo ?predictor ~cpu tr =
   let config = Config.make ~cpu ?predictor tr.t_technique in

@@ -138,6 +138,7 @@ val replay :
 
 val replay_bank :
   ?poll:(unit -> unit) ->
+  ?domains:int ->
   configs:
     (Vmbp_machine.Cpu_model.t * Vmbp_machine.Predictor.kind option) list ->
   trace ->
@@ -148,9 +149,19 @@ val replay_bank :
     not-yet-memoized configuration in one traversal per event stream.
     Subsequent {!replay} / {!replay_memo} calls for these configurations
     are then served from the memo tables at cost-model price.  Returns the
-    number of configurations freshly simulated.  [poll] follows
-    {!Trace.replay_bank}'s contract: once on entry even when everything is
-    memoized, then every 65536 tokens. *)
+    number of configurations freshly simulated.  [domains] is the bank's
+    lane width and [poll] follows {!Trace.replay_bank}'s contract: only
+    the calling domain polls, once on entry even when everything is
+    memoized, then every 65536 tokens of its own walks and after each
+    helper it joins. *)
+
+val bank_work :
+  configs:
+    (Vmbp_machine.Cpu_model.t * Vmbp_machine.Predictor.kind option) list ->
+  trace ->
+  int
+(** {!Trace.bank_work} of the configurations {!replay_bank} would
+    resolve: the event-config work of the fresh ones. *)
 
 val replay_memo :
   ?predictor:Vmbp_machine.Predictor.kind ->

@@ -432,15 +432,17 @@ let with_buffers f =
       Mutex.unlock pool_lock)
     (fun () -> f b)
 
-(* Counters live in per-configuration refs allocated once per bank, so
-   the kernels' block loops allocate nothing. *)
-let bank_predictors poll t { codes; dispatch_block = blk; _ } fresh =
+(* Counters live in per-configuration refs allocated once per lane, so
+   the kernels' block loops allocate nothing.  [check] runs before every
+   block: it is how a lane notices that its bank was stopped. *)
+let bank_predictors poll check t { codes; dispatch_block = blk; _ } fresh =
   let sims = Array.map snd fresh in
   let mis = Array.map (fun _ -> ref 0) fresh in
   let vmis = Array.map (fun _ -> ref 0) fresh in
   let opcode_mask = (1 lsl dispatch_opcode_bits) - 1 in
   let rev_a = t.dispatch_dict.rev_a and rev_b = t.dispatch_dict.rev_b in
   iter_blocks poll t.dispatch codes (fun n ->
+      check ();
       for i = 0 to n - 1 do
         let code = Array.unsafe_get codes i in
         let w = Array.unsafe_get rev_b code in
@@ -459,12 +461,13 @@ let bank_predictors poll t { codes; dispatch_block = blk; _ } fresh =
     (fun j (d, _) -> memo_add t t.pred_memo d (!(mis.(j)), !(vmis.(j))))
     fresh
 
-let bank_icaches poll t { codes; fetch_block = blk; _ } fresh =
+let bank_icaches poll check t { codes; fetch_block = blk; _ } fresh =
   let sims = Array.map snd fresh in
   let hits = Array.map (fun _ -> ref 0) fresh in
   let misses = Array.map (fun _ -> ref 0) fresh in
   let rev_a = t.fetch_dict.rev_a and rev_b = t.fetch_dict.rev_b in
   iter_blocks poll t.fetch codes (fun n ->
+      check ();
       for i = 0 to n - 1 do
         let code = Array.unsafe_get codes i in
         Array.unsafe_set blk.addr i (Array.unsafe_get rev_a code);
@@ -480,21 +483,174 @@ let bank_icaches poll t { codes; fetch_block = blk; _ } fresh =
       memo_add t t.icache_memo d (!(hits.(j)) + !(misses.(j)), !(misses.(j))))
     fresh
 
-let replay_bank ?(poll = fun () -> ()) t ~predictors ~icaches =
+(* ------------------------------------------------------------------ *)
+(* Lanes.
+
+   Every configuration of a bank is an independent simulator over the
+   same stream, so a bank splits into lanes -- one stream plus a subset
+   of its fresh configurations -- that domains can run side by side.
+   Each lane decodes its stream into its own domain's buffers and lands
+   its memo entries only after its whole walk, so every entry equals the
+   one-lane value whatever the width.  Only the calling domain polls:
+   the poll hook is the caller's watchdog and progress heartbeat, which
+   read the environment, spans and registry that helper domains must not
+   touch.  Helpers instead check a shared stop flag once per block. *)
+
+type lane =
+  | Predictor_lane of (string * Predictor.t) array
+  | Icache_lane of (string * Icache.t) array
+
+let lane_work t = function
+  | Predictor_lane a -> t.n_dispatch * Array.length a
+  | Icache_lane a -> t.n_fetch * Array.length a
+
+(* About two lanes per domain: a domain whose vCPU runs slow leaves its
+   second lane to the others instead of holding up the bank. *)
+let lanes_per_domain = 2
+
+(* [k] contiguous lanes of [configs] whose sizes differ by at most one. *)
+let split k configs lane =
+  let n = Array.length configs in
+  List.init k (fun j ->
+      let lo = j * n / k in
+      lane (Array.sub configs lo (((j + 1) * n / k) - lo)))
+
+(* Width 1 is one predictor lane then one I-cache lane, the order and
+   memo landing points of a plain sequential bank.  Wider banks cut each
+   stream into lanes of about [total / (lanes_per_domain * width)]
+   event-configs (at least one configuration each) and hand the largest
+   out first. *)
+let cut_lanes t ~width fp fi =
+  let target =
+    max 1
+      (((t.n_dispatch * Array.length fp) + (t.n_fetch * Array.length fi))
+      / (lanes_per_domain * width))
+  in
+  let count events configs =
+    let n = Array.length configs in
+    if n = 0 then 0
+    else if width <= 1 then 1
+    else max 1 (min n (((events * n) + (target / 2)) / target))
+  in
+  let lanes =
+    split (count t.n_dispatch fp) fp (fun a -> Predictor_lane a)
+    @ split (count t.n_fetch fi) fi (fun a -> Icache_lane a)
+  in
+  Array.of_list
+    (if width <= 1 then lanes
+     else
+       List.stable_sort (fun a b -> compare (lane_work t b) (lane_work t a))
+         lanes)
+
+let m_lanes = Vmbp_obs.Registry.counter "trace.bank_lanes"
+let m_helper_lanes = Vmbp_obs.Registry.counter "trace.bank_helper_lanes"
+
+exception Lane_stopped
+
+let lane_hook = ref (fun () -> ())
+
+(* Run [lanes] on the calling domain plus up to [width - 1] helper
+   domains, which take lanes from a shared index.  The caller polls every
+   64Ki tokens of its own walks and after each helper it joins.  Any
+   exception -- a poll's, or one raised inside a lane on either side --
+   sets the stop flag; every helper is joined before the first such
+   exception is re-raised, so none outlives the bank. *)
+let run_lanes poll ~width t lanes =
+  let next = Atomic.make 0 and stop = Atomic.make false in
+  let check () = if Atomic.get stop then raise Lane_stopped in
+  let take poll =
+    with_buffers (fun bufs ->
+        let rec go ran =
+          let i = Atomic.fetch_and_add next 1 in
+          if i >= Array.length lanes then ran
+          else begin
+            !lane_hook ();
+            (match lanes.(i) with
+            | Predictor_lane fresh -> bank_predictors poll check t bufs fresh
+            | Icache_lane fresh -> bank_icaches poll check t bufs fresh);
+            go (ran + 1)
+          end
+        in
+        go 0)
+  in
+  let helper () =
+    match take ignore with
+    | ran -> Ok ran
+    | exception e ->
+        Atomic.set stop true;
+        Error (e, Printexc.get_raw_backtrace ())
+  in
+  (* A spawn can fail when the process is near the runtime's domain
+     limit; the lanes a missing helper would have taken fall to the
+     domains that did start. *)
+  let rec spawn k acc =
+    if k <= 0 then acc
+    else
+      match Domain.spawn helper with
+      | d -> spawn (k - 1) (d :: acc)
+      | exception _ -> acc
+  in
+  let helpers = spawn (min (width - 1) (Array.length lanes - 1)) [] in
+  let failure = ref None in
+  let fail e bt =
+    Atomic.set stop true;
+    match e with
+    | Lane_stopped -> ()
+    | e -> if Option.is_none !failure then failure := Some (e, bt)
+  in
+  let own =
+    match take poll with
+    | ran -> ran
+    | exception e ->
+        fail e (Printexc.get_raw_backtrace ());
+        0
+  in
+  let helped =
+    List.fold_left
+      (fun helped d ->
+        let helped =
+          match Domain.join d with
+          | Ok ran -> helped + ran
+          | Error (e, bt) ->
+              fail e bt;
+              helped
+        in
+        (if not (Atomic.get stop) then
+           try poll () with e -> fail e (Printexc.get_raw_backtrace ()));
+        helped)
+      0 helpers
+  in
+  Vmbp_obs.Registry.add m_lanes (own + helped);
+  Vmbp_obs.Registry.add m_helper_lanes helped;
+  match !failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+let fresh_of t bank memo =
+  Array.of_list (List.filter (fun (d, _) -> memo_find t memo d = None) bank)
+
+let replay_bank ?(poll = fun () -> ()) ?(domains = 1) t ~predictors ~icaches =
   if not t.live then invalid_arg "Trace.replay_bank: trace was released";
   (* Poll before consulting the memos: a fully memo-served bank does no
      token iteration, and without this entry poll a long run of such
      groups would be invisible to the watchdog deadline. *)
   poll ();
-  let fresh_of bank memo =
-    Array.of_list (List.filter (fun (d, _) -> memo_find t memo d = None) bank)
+  let fp = fresh_of t (Predictor.create_bank predictors) t.pred_memo in
+  let fi = fresh_of t (Icache.create_bank icaches) t.icache_memo in
+  let width = max 1 domains in
+  let lanes = cut_lanes t ~width fp fi in
+  if Array.length lanes > 0 then run_lanes poll ~width t lanes;
+  Array.length fp + Array.length fi
+
+let bank_work t ~predictors ~icaches =
+  let fresh descriptor memo configs =
+    List.length
+      (List.filter
+         (fun d -> memo_find t memo d = None)
+         (List.sort_uniq compare (List.map descriptor configs)))
   in
-  with_buffers (fun bufs ->
-      let fp = fresh_of (Predictor.create_bank predictors) t.pred_memo in
-      if Array.length fp > 0 then bank_predictors poll t bufs fp;
-      let fi = fresh_of (Icache.create_bank icaches) t.icache_memo in
-      if Array.length fi > 0 then bank_icaches poll t bufs fi;
-      Array.length fp + Array.length fi)
+  (t.n_dispatch * fresh Predictor.descriptor t.pred_memo predictors)
+  + (t.n_fetch * fresh Icache.descriptor t.icache_memo icaches)
 
 let build_result t ~cpu (mispredicts, vm_mispredicts) (fetches, misses) =
   let m = Metrics.copy t.base in

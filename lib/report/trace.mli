@@ -51,6 +51,7 @@ val block_events : int
 
 val replay_bank :
   ?poll:(unit -> unit) ->
+  ?domains:int ->
   t ->
   predictors:Vmbp_machine.Predictor.kind list ->
   icaches:Vmbp_machine.Icache.config list ->
@@ -65,19 +66,43 @@ val replay_bank :
     drives the I-cache simulators through
     {!Vmbp_machine.Icache.fetch_block}.  Every simulator sees its events
     in exactly the stream's order, so its counters equal an
-    event-by-event replay's.  The results land in the trace's memo tables
-    only once a stream walk completes, from which {!replay} and
-    {!replay_memo} then answer at cost-model price.  Returns the number of
-    configurations freshly simulated (0 when everything was already
-    memoized).  Configurations are deduplicated by their canonical
-    descriptor; invalid ones (whose simulator constructor raises) are
-    skipped and left un-memoized, so the error surfaces on the per-cell
-    path that actually uses them.
+    event-by-event replay's.  Returns the number of configurations
+    freshly simulated (0 when everything was already memoized).
+    Configurations are deduplicated by their canonical descriptor;
+    invalid ones (whose simulator constructor raises) are skipped and
+    left un-memoized, so the error surfaces on the per-cell path that
+    actually uses them.
 
-    Polling contract: [poll] is invoked once on entry -- regardless of
-    memo state, so a long run of memo-served groups cannot blind-spot a
-    watchdog deadline -- and then after every 65536 tokens of each stream
-    walk.  Raises [Invalid_argument] on a [release]d trace. *)
+    Lanes: the fresh configurations are cut into lanes -- one stream plus
+    a subset of its configurations -- which up to [domains] domains
+    (default 1), the calling domain among them, take from a shared index.
+    At width 1 the caller runs one predictor lane, then one I-cache lane.
+    Wider banks cut about two lanes per domain, sized by events x
+    configurations, largest first; each domain decodes into its own
+    buffers.  A lane's results land in the trace's memo tables only once
+    its whole stream walk completes, from which {!replay} and
+    {!replay_memo} then answer at cost-model price; every entry equals
+    the width-1 value, whatever the lane or width.  The caller adds the
+    lanes it and its helpers completed to the [trace.bank_lanes] and
+    [trace.bank_helper_lanes] counters.
+
+    Polling contract: only the calling domain calls [poll] -- once on
+    entry, regardless of memo state, so a long run of memo-served groups
+    cannot blind-spot a watchdog deadline; then after every 65536 tokens
+    of each of its own stream walks; and after each helper domain it
+    joins.  An exception from [poll] or from inside any lane stops every
+    lane at its next block; the caller joins all helpers, then re-raises
+    the first such exception.  Raises [Invalid_argument] on a [release]d
+    trace. *)
+
+val bank_work :
+  t ->
+  predictors:Vmbp_machine.Predictor.kind list ->
+  icaches:Vmbp_machine.Icache.config list ->
+  int
+(** The event-config work {!replay_bank} would do for these
+    configurations now: the stream's events times its distinct
+    not-yet-memoized configurations, summed over both streams. *)
 
 val replay :
   ?poll:(unit -> unit) ->
@@ -133,6 +158,11 @@ val memo_sizes : t -> int * int
     under the memo lock, so for each table this must always equal the
     number of distinct configurations simulated -- exposed so tests can
     assert the memo tables stay duplicate-free under concurrent replay. *)
+
+val lane_hook : (unit -> unit) ref
+(** Test seam: called at the start of every lane of a {!replay_bank}, on
+    whichever domain runs it, so a test can make a helper lane raise.
+    Does nothing by default; never set it outside tests. *)
 
 val mutation_racy_memo : bool ref
 (** Mutation tooth: when [true], memo inserts revert to the pre-fix

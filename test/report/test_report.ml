@@ -1815,6 +1815,181 @@ let test_tiled_bank () =
         predictors)
     cpus
 
+(* Lane-parallel banks over gray's trace (streams ending mid-block) and
+   the tiled-bank grid. *)
+module Lanes = struct
+  module T = Vmbp_report.Trace
+
+  let w = workload Vmbp_workloads.Forth "gray"
+  let technique = Technique.plain
+
+  let record =
+    let loaded = lazy (w.Vmbp_workloads.load ~scale:1) in
+    fun () ->
+      let loaded = Lazy.force loaded in
+      let layout =
+        Config.build_layout (Config.make technique)
+          ~program:loaded.Vmbp_workloads.program
+      in
+      let s = loaded.Vmbp_workloads.semantic_session () in
+      Option.get
+        (T.record ~fuel:Vmbp_report.Runner.engine_fuel ~layout
+           ~exec:s.Vmbp_workloads.exec ~output:s.Vmbp_workloads.output ())
+
+  let predictors =
+    [
+      Predictor.Btb (Btb.classic ~entries:256 ~associativity:1);
+      Predictor.Btb (Btb.with_counters ~entries:512 ~associativity:8);
+      Predictor.Btb Btb.ideal;
+      Predictor.Two_level Two_level.default;
+      Predictor.Case_block 256;
+      Predictor.Perfect;
+      Predictor.Never;
+    ]
+
+  let cpus = [ Cpu_model.celeron_800; Cpu_model.pentium4_northwood ]
+  let icaches = List.map (fun (c : Cpu_model.t) -> c.Cpu_model.icache) cpus
+  let configs = List.length predictors + List.length icaches
+
+  let cells =
+    List.concat_map (fun cpu -> List.map (fun p -> (cpu, p)) predictors) cpus
+
+  (* [(fresh configurations, lanes run)] of one bank over the grid. *)
+  let bank ?poll ?(predictors = predictors) ?(icaches = icaches) domains tr =
+    let lanes0 = registry_count "trace.bank_lanes" in
+    let fresh = T.replay_bank ?poll ~domains tr ~predictors ~icaches in
+    (fresh, registry_count "trace.bank_lanes" - lanes0)
+
+  let width_one =
+    lazy
+      (let tr = record () in
+       Alcotest.(check (pair int int))
+         "width 1: a predictor lane, then an I-cache lane" (configs, 2)
+         (bank 1 tr);
+       tr)
+
+  (* Every cell of [tr] is memoized and equals the width-1 bank's cell
+     field for field. *)
+  let check_width_one what tr =
+    let one = Lazy.force width_one in
+    List.iter
+      (fun ((cpu : Cpu_model.t), predictor) ->
+        let name =
+          Printf.sprintf "%s %s/%s" what cpu.Cpu_model.name
+            (Predictor.descriptor predictor)
+        in
+        match
+          (T.replay_memo one ~cpu ~predictor, T.replay_memo tr ~cpu ~predictor)
+        with
+        | Some a, Some b ->
+            check_result_equal name a b;
+            check_bool (name ^ " metrics record") true
+              (a.Engine.metrics = b.Engine.metrics)
+        | _ -> Alcotest.fail (name ^ ": not memoized"))
+      cells
+end
+
+let test_lane_widths () =
+  let open Lanes in
+  let one = Lazy.force width_one in
+  List.iter
+    (fun ((cpu : Cpu_model.t), predictor) ->
+      let direct =
+        Vmbp_report.Runner.run ~real_semantics:true ~predictor ~cpu ~technique
+          w
+      in
+      check_result_equal
+        (Printf.sprintf "width 1 vs direct %s/%s" cpu.Cpu_model.name
+           (Predictor.descriptor predictor))
+        direct.Vmbp_report.Runner.result
+        (Option.get (T.replay_memo one ~cpu ~predictor)))
+    cells;
+  List.iter
+    (fun width ->
+      let tr = record () in
+      let fresh, lanes = bank width tr in
+      let what = Printf.sprintf "width %d" width in
+      check_int (what ^ " simulates every configuration") configs fresh;
+      check_bool (what ^ " cuts several lanes") true
+        (lanes >= 2 && lanes <= configs);
+      Alcotest.(check (pair int int))
+        (what ^ " memoizes each configuration once")
+        (List.length predictors, List.length icaches)
+        (T.memo_sizes tr);
+      check_width_one what tr)
+    [ 2; 3; 4 ];
+  let tr = record () in
+  Alcotest.(check (pair int int))
+    "a width above the configuration count: one lane per configuration"
+    (configs, configs) (bank 64 tr);
+  check_width_one "width 64" tr
+
+let test_idle_banks () =
+  let open Lanes in
+  let tr = record () in
+  Alcotest.(check (pair int int)) "an empty bank runs no lanes" (0, 0)
+    (bank ~predictors:[] ~icaches:[] 4 tr);
+  ignore (bank 1 tr);
+  Alcotest.(check (pair int int)) "a memoized bank runs no lanes" (0, 0)
+    (bank 4 tr)
+
+(* After an aborted bank, every entry that landed is a whole lane's:
+   finishing the bank simulates exactly the missing configurations, and
+   every cell then equals the width-1 value (memo inserts are
+   add-if-absent, so a partial entry would have stuck). *)
+let check_after_abort what tr =
+  let open Lanes in
+  let p, i = T.memo_sizes tr in
+  check_bool (what ^ ": the aborted caller lane landed nothing") true
+    (p + i < configs);
+  check_int (what ^ ": a later bank completes the rest") (configs - p - i)
+    (fst (bank 4 tr));
+  check_width_one what tr
+
+let test_lane_aborts () =
+  let open Lanes in
+  (* Poll 1 is the entry poll and poll 2 the first one of the caller's
+     first lane walk, which spans several polls. *)
+  let tr = record () in
+  let polls = ref 0 in
+  let poll () =
+    incr polls;
+    if !polls = 2 then raise Exit
+  in
+  (match bank ~poll 4 tr with
+  | _ -> Alcotest.fail "the poll abort did not abort the bank"
+  | exception Exit -> ());
+  check_after_abort "poll abort" tr;
+  (* A helper lane raises; the caller's lanes wait until one has. *)
+  let tr = record () in
+  let caller = Domain.self () in
+  let helper_raised = Atomic.make false in
+  let hook () =
+    if Domain.self () <> caller then begin
+      Atomic.set helper_raised true;
+      failwith "helper lane fault"
+    end
+    else begin
+      let deadline = Unix.gettimeofday () +. 10. in
+      while
+        (not (Atomic.get helper_raised)) && Unix.gettimeofday () < deadline
+      do
+        Domain.cpu_relax ()
+      done
+    end
+  in
+  T.lane_hook := hook;
+  (match
+     Fun.protect
+       ~finally:(fun () -> T.lane_hook := ignore)
+       (fun () -> bank 4 tr)
+   with
+  | _ -> Alcotest.fail "the helper's exception did not abort the bank"
+  | exception Failure msg ->
+      Alcotest.(check string) "the helper's exception reaches the caller"
+        "helper lane fault" msg);
+  check_after_abort "helper abort" tr
+
 let () =
   Alcotest.run "report"
     [
@@ -1893,6 +2068,12 @@ let () =
         [
           Alcotest.test_case "equals direct runs, polls, aborts" `Quick
             test_tiled_bank;
+        ] );
+      ( "bank-lanes",
+        [
+          Alcotest.test_case "widths equal width 1" `Quick test_lane_widths;
+          Alcotest.test_case "idle banks run no lanes" `Quick test_idle_banks;
+          Alcotest.test_case "aborts land whole lanes" `Quick test_lane_aborts;
         ] );
       ( "path-memo",
         [
