@@ -18,6 +18,10 @@
                    [--progress | --no-progress]
                    [--report-only | --bench-only]
 
+   The report is one plan: every experiment's cells run first, then the
+   tables print.  --trace-cap-mb caps one group's recorded trace (an
+   over-cap group runs its cells directly; 0 disables recording).
+
    This harness persists nothing: for a full report that survives a kill
    and resumes where it stopped, run [bin/main.exe report --store DIR]. *)
 
@@ -162,18 +166,14 @@ let run_report () =
   print_endline
     "==================================================================\n";
   List.iter
-    (fun (e : Vmbp_report.Experiments.t) ->
-      let scale =
-        match !scale_override with
-        | Some s -> s
-        | None -> e.Vmbp_report.Experiments.default_scale
-      in
+    (fun ((e : Vmbp_report.Experiments.t), table) ->
       Printf.printf "== %s ==\n" e.Vmbp_report.Experiments.title;
       Printf.printf "Paper: %s\n\n" e.Vmbp_report.Experiments.paper_claim;
-      print_string (e.Vmbp_report.Experiments.run ~scale);
+      print_string table;
       print_newline ();
       flush stdout)
-    Vmbp_report.Experiments.all
+    (Vmbp_report.Experiments.report ?scale:!scale_override
+       Vmbp_report.Experiments.all)
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: bechamel kernels, one per table/figure *)
@@ -332,14 +332,11 @@ let () =
         | None -> "0"
       in
       Printf.eprintf
-        "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         bank %s replays / %s configs / %s lanes (%s on helpers); store \
-         %s hits / %s appended; cells %s retries / %s timeouts; semantics \
-         %s runs / %s path replays (%s path bytes)\n"
-        (c "trace_cache.live_hits")
-        (c "trace_cache.memo_hits")
-        (c "trace_cache.misses")
-        (c "trace_cache.evictions")
+        "[obs] plan %s cells / %s configs / %s groups; bank %s replays / \
+         %s configs / %s lanes (%s on helpers); store %s hits / %s \
+         appended; cells %s retries / %s timeouts; semantics %s runs / %s \
+         path replays (%s path bytes)\n"
+        (c "plan.cells") (c "plan.configs") (c "plan.groups")
         (c "trace.bank_replays")
         (c "trace.banked_configs")
         (c "trace.bank_lanes")

@@ -199,9 +199,10 @@ let trace_cap_arg =
     & opt int !Vmbp_report.Par_runner.trace_cap_mb
     & info [ "trace-cap-mb" ] ~docv:"MB"
         ~doc:
-          "Memory budget for recorded dispatch traces (record-once / \
-           replay-many across CPUs).  0 or negative disables record/replay \
-           and simulates every cell directly.")
+          "Cap on one group's recorded dispatch trace (record once, \
+           replay for every CPU and predictor of the group); an over-cap \
+           group runs its cells directly.  0 or negative disables \
+           recording: every configuration runs its own engine execution.")
 
 let cell_timeout_arg =
   Arg.(
@@ -380,14 +381,10 @@ let finish_obs trace_out metrics =
         | None -> "0"
       in
       Printf.eprintf
-        "[obs] trace cache %s live / %s memo / %s miss (%s evictions); \
-         bank %s lanes (%s on helpers); store %s hits / %s appended; \
-         cells %s retries / %s timeouts; semantics %s runs / %s path \
-         replays (%s path bytes)\n"
-        (c "trace_cache.live_hits")
-        (c "trace_cache.memo_hits")
-        (c "trace_cache.misses")
-        (c "trace_cache.evictions")
+        "[obs] plan %s cells / %s configs / %s groups; bank %s lanes (%s \
+         on helpers); store %s hits / %s appended; cells %s retries / %s \
+         timeouts; semantics %s runs / %s path replays (%s path bytes)\n"
+        (c "plan.cells") (c "plan.configs") (c "plan.groups")
         (c "trace.bank_lanes")
         (c "trace.bank_helper_lanes")
         (c "store.hits") (c "store.appended") (c "cells.retries")
@@ -580,16 +577,12 @@ let report_cmd =
     setup_obs trace_out metrics progress;
     run_killable store (fun () ->
         List.iter
-          (fun (e : Vmbp_report.Experiments.t) ->
-            let s =
-              Option.value scale
-                ~default:e.Vmbp_report.Experiments.default_scale
-            in
+          (fun ((e : Vmbp_report.Experiments.t), table) ->
             Printf.printf "== %s ==\n" e.Vmbp_report.Experiments.title;
             Printf.printf "Paper: %s\n\n" e.Vmbp_report.Experiments.paper_claim;
-            print_table (e.Vmbp_report.Experiments.run ~scale:s);
+            print_table table;
             print_newline ())
-          Vmbp_report.Experiments.all);
+          (Vmbp_report.Experiments.report ?scale Vmbp_report.Experiments.all));
     partial_marker store;
     write_json json;
     finish_obs trace_out metrics;

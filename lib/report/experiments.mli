@@ -1,17 +1,34 @@
 (** Registry of reproduction experiments, one per table and figure of the
     paper's evaluation (plus ablations called out in DESIGN.md).
 
-    Every experiment renders a plain-text report with the same rows/series
-    the paper presents; structured accessors used by the test suite live in
-    the individual compute functions. *)
+    Every experiment is a value: the cells it needs plus a pure render of
+    their results into a plain-text table with the same rows/series the
+    paper presents.  {!report} runs any set of experiments as one plan, so
+    a configuration several experiments share is computed once and a
+    (program, technique) group runs one engine execution however many
+    experiments read it.  Structured accessors used by the test suite live
+    in the individual compute functions. *)
+
+type 'a plan = {
+  cells : Par_runner.cell list;
+  finish : Par_runner.timed list -> 'a;
+      (** the value of the cells' results, given in [cells] order *)
+}
 
 type t = {
   id : string;  (** e.g. "fig7" *)
   title : string;
   paper_claim : string;  (** the shape that should hold, from the paper *)
   default_scale : int;
-  run : scale:int -> string;
+  plan : scale:int -> string plan;
+  run : scale:int -> string;  (** a one-experiment {!report} *)
 }
+
+val report : ?scale:int -> t list -> (t * string) list
+(** Plan every experiment at [scale] (default: each one's
+    [default_scale]), run all their cells in one {!Par_runner.run_cells}
+    call, then render each experiment, in list order.  Nothing renders
+    before the whole plan has run. *)
 
 val all : t list
 val find : string -> t option

@@ -38,17 +38,13 @@ type timed = {
    place; every update happens at cell or group granularity, never inside
    the simulation hot loops. *)
 
-let m_cache_live_hits = Vmbp_obs.Registry.counter "trace_cache.live_hits"
-let m_cache_memo_hits = Vmbp_obs.Registry.counter "trace_cache.memo_hits"
-let m_cache_misses = Vmbp_obs.Registry.counter "trace_cache.misses"
-let m_cache_insertions = Vmbp_obs.Registry.counter "trace_cache.insertions"
-
-(* An eviction demotes a live entry to a memo-only summary, so this also
-   counts memo demotions. *)
-let m_cache_evictions = Vmbp_obs.Registry.counter "trace_cache.evictions"
-
-(* Cells served verbatim from the full-result cache: no simulation ran. *)
-let m_result_hits = Vmbp_obs.Registry.counter "result_cache.hits"
+(* The plan of each [run_cells] call: the cells it had to compute (after
+   the store pre-pass), the distinct configurations among them -- every
+   later cell of a configuration is a copy of its first -- and the
+   (workload, technique, scale) groups those configurations form. *)
+let m_plan_cells = Vmbp_obs.Registry.counter "plan.cells"
+let m_plan_configs = Vmbp_obs.Registry.counter "plan.configs"
+let m_plan_groups = Vmbp_obs.Registry.counter "plan.groups"
 
 (* Banked replays: single-pass group traversals that fed at least one
    fresh simulator configuration, and the configurations they fed. *)
@@ -314,168 +310,10 @@ let drain_log () =
   Mutex.unlock log_lock;
   List.rev l
 
-(* ------------------------------------------------------------------ *)
-(* Trace cache.
-
-   Recorded (workload, technique, scale) executions are retained across
-   [run_cells] calls, because the experiment registry revisits the same
-   groups under different CPUs (e.g. the Celeron and Pentium 4 speedup
-   figures share every Forth group).  Retained event-stream bytes are
-   bounded by [trace_cap_mb] with least-recently-used eviction, but
-   eviction only recycles the streams: the entry stays in the list as a
-   kilobyte-sized summary whose per-configuration memo tables (see
-   {!Trace.replay_memo}) still answer every predictor/I-cache combination
-   the trace ever served.  Most cross-experiment revisits repeat a
-   configuration (the counter figures and sweeps reuse the speedup
-   figures' CPUs), so they stay free no matter how small the cap is; only
-   a genuinely new configuration on an evicted group pays for re-recording.
-   Workload identity is physical: the registry's workload values persist
-   for the process lifetime, while freshly constructed (e.g. synthetic
-   test) workloads can never alias a stale trace. *)
-
-type cache_entry = {
-  ce_workload : Vmbp_workloads.t;
-  ce_technique : Technique.t;
-  ce_scale : int;
-  ce_trace : Runner.trace;
-  ce_bytes : int;
-  mutable ce_stamp : int;
-  mutable ce_refs : int;  (* groups currently replaying from this trace *)
-  mutable ce_dead : bool;
-      (* evicted: recycle storage once ce_refs = 0; the entry itself stays
-         listed as a memo-only summary *)
-}
-
-let cache : cache_entry list ref = ref []
-let cache_bytes = ref 0
-let cache_clock = ref 0
-let cache_lock = Mutex.create ()
-
 let cap_bytes () = !trace_cap_mb * 1024 * 1024
 
 let same_group a b =
   a.workload == b.workload && a.scale = b.scale && a.technique = b.technique
-
-let entry_matches c e =
-  e.ce_workload == c.workload && e.ce_scale = c.scale
-  && e.ce_technique = c.technique
-
-(* Deferred storage recycling: an evicted trace may still be feeding another
-   domain's replays, so eviction only marks the entry dead and the last
-   group using it returns the chunks to the pool. *)
-let entry_drop_locked e =
-  if e.ce_dead && e.ce_refs = 0 then Runner.release_trace e.ce_trace
-
-(* [`Live e] holds a reference on the entry's storage (the caller must
-   [cache_release] it); [`Summary e] is an evicted entry usable only
-   through {!Runner.replay_memo}, which needs no reference. *)
-let cache_find c =
-  Mutex.lock cache_lock;
-  let found = List.find_opt (entry_matches c) !cache in
-  let found =
-    match found with
-    | Some e when not e.ce_dead ->
-        incr cache_clock;
-        e.ce_stamp <- !cache_clock;
-        e.ce_refs <- e.ce_refs + 1;
-        `Live e
-    | Some e -> `Summary e
-    | None -> `Miss
-  in
-  Mutex.unlock cache_lock;
-  (match found with
-  | `Live _ -> Vmbp_obs.Registry.add m_cache_live_hits 1
-  | `Summary _ -> Vmbp_obs.Registry.add m_cache_memo_hits 1
-  | `Miss -> Vmbp_obs.Registry.add m_cache_misses 1);
-  found
-
-let cache_release e =
-  Mutex.lock cache_lock;
-  e.ce_refs <- e.ce_refs - 1;
-  entry_drop_locked e;
-  Mutex.unlock cache_lock
-
-(* Eviction demotes the least-recently-used live entry to a summary: its
-   stream storage is recycled but its memo tables keep answering repeat
-   configurations. *)
-let evict_to_cap_locked () =
-  let cap = cap_bytes () in
-  let continue = ref true in
-  while !cache_bytes > cap && !continue do
-    match List.filter (fun e -> not e.ce_dead) !cache with
-    | [] | [ _ ] -> continue := false
-    | live ->
-        let lru =
-          List.fold_left
-            (fun acc e -> if e.ce_stamp < acc.ce_stamp then e else acc)
-            (List.hd live) (List.tl live)
-        in
-        cache_bytes := !cache_bytes - lru.ce_bytes;
-        lru.ce_dead <- true;
-        Vmbp_obs.Registry.add m_cache_evictions 1;
-        entry_drop_locked lru
-  done
-
-(* Returns the entry now holding the group's trace, with one reference held
-   for the caller.  If another domain inserted the same group first, the
-   caller's freshly recorded duplicate is recycled and the existing live
-   entry is used instead.  A matching dead summary (the re-record path:
-   storage was evicted and then a new configuration arrived) is superseded:
-   the fresh entry is consed in front of it, and the stale summary is
-   unlisted once no domain still reads its memos. *)
-let cache_insert c trace =
-  let bytes = Runner.trace_bytes trace in
-  Mutex.lock cache_lock;
-  let entry =
-    match
-      List.find_opt (fun e -> entry_matches c e && not e.ce_dead) !cache
-    with
-    | Some e ->
-        Runner.release_trace trace;
-        incr cache_clock;
-        e.ce_stamp <- !cache_clock;
-        e.ce_refs <- e.ce_refs + 1;
-        e
-    | None ->
-        incr cache_clock;
-        let e =
-          {
-            ce_workload = c.workload;
-            ce_technique = c.technique;
-            ce_scale = c.scale;
-            ce_trace = trace;
-            ce_bytes = bytes;
-            ce_stamp = !cache_clock;
-            ce_refs = 1;
-            ce_dead = false;
-          }
-        in
-        cache :=
-          e :: List.filter (fun o -> not (entry_matches c o && o.ce_dead)) !cache;
-        cache_bytes := !cache_bytes + bytes;
-        Vmbp_obs.Registry.add m_cache_insertions 1;
-        evict_to_cap_locked ();
-        e
-  in
-  Mutex.unlock cache_lock;
-  entry
-
-let clear_trace_cache () =
-  Mutex.lock cache_lock;
-  List.iter
-    (fun e ->
-      e.ce_dead <- true;
-      entry_drop_locked e)
-    !cache;
-  cache := [];
-  cache_bytes := 0;
-  Mutex.unlock cache_lock
-
-let trace_cache_bytes () =
-  Mutex.lock cache_lock;
-  let b = !cache_bytes in
-  Mutex.unlock cache_lock;
-  b
 
 (* ------------------------------------------------------------------ *)
 (* Cell identity.
@@ -523,68 +361,17 @@ let config_fingerprint c =
             (if !trace_cap_mb > 0 then "traced" else "direct");
           ]))
 
-(* ------------------------------------------------------------------ *)
-(* Full-result cache.
-
-   Experiment batches revisit cells verbatim: the counter figures re-run
-   rows of the speedup figures' (workload, technique, CPU) grid, and the
-   ablations share cells with the main tables.  A finished cell's payload
-   is a few hundred bytes (metric counts, cycles, the session output), so
-   every successful outcome is kept for the process lifetime keyed by the
-   full configuration, and an exact revisit is served with no simulation
-   at all.  Cached runs are treated as immutable by every consumer.
-   Workload identity is physical, like the trace cache's: a freshly
-   constructed workload can never alias a cached result.  Bypassed under
-   [--self-check] (every cell must run a fresh lockstep execution) and
-   when caching is disabled outright ([--trace-cap-mb 0]). *)
-
-let result_cache : (string, Vmbp_workloads.t * Runner.run) Hashtbl.t =
-  Hashtbl.create 1024
-
-let result_lock = Mutex.create ()
-
-let result_key c =
+(* The full configuration: tagless, with the complete CPU profile spelled
+   out.  Cells with equal keys (and the same workload value) produce equal
+   numbers, so a plan computes each key once and the store persists it
+   once. *)
+let store_key c =
   Printf.sprintf "%s/%s|%s|%s|s%d|%s"
     (Vmbp_workloads.vm_name c.workload.Vmbp_workloads.vm)
     c.workload.Vmbp_workloads.name
     (Technique.descriptor c.technique)
     (cpu_descriptor c.cpu) c.scale
     (predictor_override_descriptor c.predictor)
-
-let result_enabled () = (not !self_check) && !trace_cap_mb > 0
-
-let result_find c =
-  if not (result_enabled ()) then None
-  else begin
-    Mutex.lock result_lock;
-    let found =
-      match Hashtbl.find_opt result_cache (result_key c) with
-      | Some (w, run) when w == c.workload -> Some run
-      | _ -> None
-    in
-    Mutex.unlock result_lock;
-    if found <> None then Vmbp_obs.Registry.add m_result_hits 1;
-    found
-  end
-
-(* Only genuinely computed successes are cached: store-served outcomes
-   were computed under a possibly different configuration of a previous
-   process, and failures may be transient (timeouts, injected faults). *)
-let result_store c (t : timed) =
-  if result_enabled () && not t.from_store then
-    match t.outcome with
-    | Ok run ->
-        Mutex.lock result_lock;
-        let key = result_key c in
-        if not (Hashtbl.mem result_cache key) then
-          Hashtbl.add result_cache key (c.workload, run);
-        Mutex.unlock result_lock
-    | Error _ -> ()
-
-let clear_result_cache () =
-  Mutex.lock result_lock;
-  Hashtbl.reset result_cache;
-  Mutex.unlock result_lock
 
 (* Rebuild the exact [timed] a live run would have produced from a store
    record.  Only integer event counters ever touch the disk; cycles and
@@ -631,7 +418,7 @@ let timed_of_entry c (e : Vmbp_store.Cellrec.entry) =
 (* Content-addressed result store: the one way a cell persists.
 
    Cells are addressed by the tagless parameter-complete key -- the same
-   identity the full-result cache uses -- so a store warmed by a grid run
+   identity a plan deduplicates by -- so a store warmed by a grid run
    serves any later query for the same configuration, whatever experiment
    tag asked for it, and a killed run re-run on the same store resumes
    from every cell it finished. *)
@@ -653,14 +440,10 @@ let clear_store () =
 let store_stats () = Option.map Vmbp_store.Store.stats !store
 let store_compact () = Option.iter Vmbp_store.Store.compact !store
 
-(* The store key is the full-result cache's identity: tagless, with the
-   complete CPU profile spelled out. *)
-let store_key = result_key
-
 (* Serve one cell from the store, if present.  Served cells carry
    [from_store = true]: the flag means "reconstructed from disk, no
-   simulator ran", and every downstream policy (no re-append, no result
-   cache, no audit) wants exactly that treatment. *)
+   simulator ran", and every downstream policy (no re-append, no audit)
+   wants exactly that treatment. *)
 let store_lookup c =
   match !store with
   | None -> None
@@ -677,8 +460,8 @@ let store_lookup c =
 
 (* Persist a freshly computed success.  Only [Ok] outcomes are stored --
    failures may be transient and a service must never serve one from
-   cache -- and an entry already present (the usual case when the same
-   cell appears twice in one batch) is not appended again. *)
+   cache -- and an entry already present (the usual case for a copy of a
+   configuration computed earlier in the plan) is not appended again. *)
 let store_append c (t : timed) =
   match !store with
   | None -> ()
@@ -827,53 +610,17 @@ let replay_cell mode tr c =
     audited = false;
   }
 
-(* Replay every cell purely from an evicted entry's memo tables.  All or
-   nothing: a group whose cells mix known and new configurations re-records
-   instead, so the one engine execution also refreshes the stream for its
-   siblings. *)
-let memo_cells entry arr idxs =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | i :: rest -> (
-        let c = arr.(i) in
-        let t0 = Vmbp_sim.Env.now () in
-        match
-          Runner.replay_memo ?predictor:c.predictor ~cpu:c.cpu entry.ce_trace
-        with
-        | None -> None
-        | Some outcome ->
-            let wall = Vmbp_sim.Env.now () -. t0 in
-            go
-              (( i,
-                 {
-                   cell = c;
-                   outcome;
-                   wall_seconds = wall;
-                   (* A memo-served cell ran no simulator: its whole wall
-                      time is serving from the summary tables. *)
-                   serve_seconds = wall;
-                   mode = Replay;
-                   attempts = 1;
-                   timed_out = false;
-                   from_store = false;
-                   audited = false;
-                 } )
-              :: acc)
-              rest)
-  in
-  go [] idxs
-
 (* ------------------------------------------------------------------ *)
 (* Sampled auditing of the fast paths.
 
-   Cells served without a fresh VM execution -- trace replays and
-   memo-served summaries (both [mode = Replay]) -- and cells whose engine
-   run replayed a recorded control path instead of the VM semantics are
-   the ones a silent fast-path bug would corrupt, so a deterministic
-   sample of them is re-run directly through [Runner.run_result] on a
-   real-semantics session and compared field for field.  The sample is
-   keyed on the cell key alone: the same cells are audited on every run
-   of the same grid, with any job count. *)
+   Cells served without a fresh VM execution -- trace replays and copies
+   of a configuration computed for another cell (both [mode = Replay]) --
+   and cells whose engine run replayed a recorded control path instead of
+   the VM semantics are the ones a silent fast-path bug would corrupt, so
+   a deterministic sample of them is re-run directly through
+   [Runner.run_result] on a real-semantics session and compared field for
+   field.  The sample is keyed on the cell key alone: the same cells are
+   audited on every run of the same grid, with any job count. *)
 
 let same_run (a : Runner.run) (b : Runner.run) =
   a.Runner.result.Engine.metrics = b.Runner.result.Engine.metrics
@@ -976,33 +723,61 @@ let audit_crosscheck c (t : timed) =
    under 1% of the bank. *)
 let lane_min_work = 11_000_000
 
-(* One (workload, technique, scale) group: find or record its trace, then
-   replay every cell against its own CPU/predictor.  Any recording problem
-   (cap exceeded, load/build/run exception) falls back to direct per-cell
-   simulation, which reproduces exactly what the pre-trace runner did.
-   Every completed success is stored the moment its slot is filled, so a
-   crash loses at most the group in flight.  Already-filled slots (served
-   from the store, or filled before a degradation rerun) are skipped,
+(* One [run_cells] call: its cells, their result slots, and for each
+   configuration's first cell the later cells that copy it. *)
+type batch = {
+  arr : cell array;
+  results : timed option array;
+  copies : int list array;
+}
+
+(* A later cell of an already computed configuration: the same outcome
+   under its own cell and tag, produced by no simulation here. *)
+let copy_of c (t : timed) =
+  {
+    t with
+    cell = c;
+    wall_seconds = 0.;
+    serve_seconds = 0.;
+    mode = Replay;
+    attempts = 1;
+    timed_out = false;
+    from_store = false;
+    audited = false;
+  }
+
+(* Settle cell [i]: audit sample, result slot, counters, store append,
+   progress -- then the same for each of its copies.  Every completed
+   success is stored the moment its slot is filled, so a crash loses at
+   most the group in flight. *)
+let rec finish b i t =
+  let t = audit_crosscheck b.arr.(i) t in
+  b.results.(i) <- Some t;
+  Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
+  if t.timed_out then Vmbp_obs.Registry.add m_cell_timeouts 1;
+  Vmbp_obs.Registry.observe h_cell_wall t.wall_seconds;
+  store_append b.arr.(i) t;
+  progress_cell_done ();
+  progress_tick ();
+  List.iter (fun j -> finish b j (copy_of b.arr.(j) t)) b.copies.(i)
+
+(* One (workload, technique, scale) group of distinct configurations.  A
+   group of one runs directly.  A larger group records one engine
+   execution, banks every configuration over the trace, replays each cell
+   from the bank's memo tables and releases the trace.  Any recording
+   problem (cap exceeded, load/build/run exception) falls back to direct
+   per-cell simulation, which reproduces exactly what a direct run gives.
+   Already-filled slots (filled before a degradation rerun) are skipped,
    which makes the group idempotent under fallback. *)
-let run_group ~bank_domains results arr idxs =
-  let finish i t =
-    let t = audit_crosscheck arr.(i) t in
-    results.(i) <- Some t;
-    result_store arr.(i) t;
-    Vmbp_obs.Registry.add m_cell_retries (max 0 (t.attempts - 1));
-    if t.timed_out then Vmbp_obs.Registry.add m_cell_timeouts 1;
-    Vmbp_obs.Registry.observe h_cell_wall t.wall_seconds;
-    store_append arr.(i) t;
-    progress_cell_done ();
-    progress_tick ()
-  in
+let run_group ~bank_domains b idxs =
+  let arr = b.arr and results = b.results in
   let direct () =
     List.iter
-      (fun i -> if results.(i) = None then finish i (run_cell arr.(i)))
+      (fun i -> if results.(i) = None then finish b i (run_cell arr.(i)))
       idxs
   in
-  (* One banked traversal per group: every distinct pending configuration
-     is simulated in a single pass over each of the trace's token streams
+  (* One banked traversal per group: every configuration is simulated in
+     a single pass over each of the trace's token streams
      ({!Runner.replay_bank}), so the per-cell replays below are served from
      the memo tables instead of each re-walking the whole trace.  The bank
      runs under the group-level deadline, like recording; any failure (a
@@ -1010,60 +785,40 @@ let run_group ~bank_domains results arr idxs =
      un-memoized, and the per-cell path re-simulates them under its own
      watchdog and reports its own error.  A bank of at least
      [lane_min_work] event-configs is spread over [bank_domains] lanes.
-     Returns the seconds spent, for billing to the group's first live
-     cell. *)
-  let bank_group entry idxs =
-    match List.filter (fun i -> results.(i) = None) idxs with
-    | [] -> 0.
-    | pending ->
-        let t0 = Vmbp_sim.Env.now () in
-        let poll = deadline_poll t0 in
-        let configs =
-          List.map (fun i -> (arr.(i).cpu, arr.(i).predictor)) pending
-        in
-        (match
-           Vmbp_obs.Span.with_ ~name:"bank"
-             ~args:[ ("cell", cell_name arr.(List.hd pending)) ]
-             (fun () ->
-               let domains =
-                 if
-                   bank_domains > 1
-                   && Runner.bank_work ~configs entry.ce_trace >= lane_min_work
-                 then bank_domains
-                 else 1
-               in
-               Runner.replay_bank ?poll ~domains ~configs entry.ce_trace)
-         with
-        | fresh -> if fresh > 0 then note_bank fresh
-        | exception Faults.Worker_killed -> raise Faults.Worker_killed
-        | exception _ -> ());
-        Vmbp_sim.Env.now () -. t0
+     Returns the seconds spent, for billing to the group's first cell. *)
+  let bank_group tr =
+    let t0 = Vmbp_sim.Env.now () in
+    let poll = deadline_poll t0 in
+    let configs = List.map (fun i -> (arr.(i).cpu, arr.(i).predictor)) idxs in
+    (match
+       Vmbp_obs.Span.with_ ~name:"bank"
+         ~args:[ ("cell", cell_name arr.(List.hd idxs)) ]
+         (fun () ->
+           let domains =
+             if bank_domains > 1 && Runner.bank_work ~configs tr >= lane_min_work
+             then bank_domains
+             else 1
+           in
+           Runner.replay_bank ?poll ~domains ~configs tr)
+     with
+    | fresh -> if fresh > 0 then note_bank fresh
+    | exception Faults.Worker_killed -> raise Faults.Worker_killed
+    | exception _ -> ());
+    Vmbp_sim.Env.now () -. t0
   in
-  (* Replay every pending cell of the group from the banked memo tables.
-     [extra] -- the group's one engine execution plus the banked traversal
-     -- is billed to the first live cell, so summing wall_seconds still
-     accounts all work; [first_record] marks the group's first cell as the
-     one whose engine run produced the trace. *)
-  let replay_group entry ~first_record ~extra idxs =
-    let extra = ref (extra +. bank_group entry idxs) in
+  (* Replay every cell of the group from the banked memo tables.  [extra]
+     -- the group's one engine execution plus the banked traversal -- is
+     billed to the first cell, marked [Record] as the one whose engine run
+     produced the trace, so summing wall_seconds still accounts all
+     work. *)
+  let replay_group tr ~record_seconds =
+    let extra = ref (record_seconds +. bank_group tr) in
     List.iteri
       (fun k i ->
-        if results.(i) = None then begin
-          let timed =
-            replay_cell
-              (if first_record && k = 0 then Record else Replay)
-              entry.ce_trace arr.(i)
-          in
-          let timed =
-            if !extra > 0. then begin
-              let e = !extra in
-              extra := 0.;
-              { timed with wall_seconds = timed.wall_seconds +. e }
-            end
-            else timed
-          in
-          finish i timed
-        end)
+        let timed = replay_cell (if k = 0 then Record else Replay) tr arr.(i) in
+        let timed = { timed with wall_seconds = timed.wall_seconds +. !extra } in
+        extra := 0.;
+        finish b i timed)
       idxs
   in
   let record_group () =
@@ -1083,86 +838,32 @@ let run_group ~bank_domains results arr idxs =
     with
     | Error (`Overflow | `Failed _) -> direct ()
     | Ok tr ->
-        (* Chaos point for the group-level record path: a failure here --
-           after recording, before any per-cell guard engages -- must
-           degrade to direct runs via the group guard below, never escape
-           into the pool. *)
-        if Faults.fire Faults.Record_fail then begin
-          Runner.release_trace tr;
-          raise (Faults.Injected "chaos: injected record failure")
-        end;
-        let record_seconds = Vmbp_sim.Env.now () -. t0 in
-        let entry = cache_insert c0 tr in
-        replay_group entry ~first_record:true ~extra:record_seconds idxs;
-        cache_release entry
+        (* The trace lives only for its group. *)
+        Fun.protect
+          ~finally:(fun () -> Runner.release_trace tr)
+          (fun () ->
+            (* Chaos point for the group-level record path: a failure here
+               -- after recording, before any per-cell guard engages --
+               must degrade to direct runs via the group guard below,
+               never escape into the pool. *)
+            if Faults.fire Faults.Record_fail then
+              raise (Faults.Injected "chaos: injected record failure");
+            replay_group tr ~record_seconds:(Vmbp_sim.Env.now () -. t0))
   in
-  (* Recording only pays off when the trace serves more than one
-     configuration: the recording sink taxes every step, banking decodes
-     the stream again, and inserting the trace can evict entries other
-     groups would reuse.  A group with at most one unserved cell --
-     parameter-sweep points and single-CPU table rows -- is cheaper to
-     simulate directly; exact cross-batch revisits of such cells are
-     caught by the result cache instead, which costs nothing to fill.
-     The choice affects how a cell's numbers are produced, never what
-     they are. *)
-  let record_or_direct () =
-    match List.filter (fun i -> results.(i) = None) idxs with
-    | [] | [ _ ] -> direct ()
+  (* Self-check compares simulators event by event, which only a fresh
+     engine execution per cell provides: the trace fast path is exactly
+     what is under audit, so it is bypassed. *)
+  let compute () =
+    match idxs with
+    | [ _ ] -> direct ()
+    | _ when !self_check || !trace_cap_mb <= 0 -> direct ()
     | _ -> record_group ()
   in
-  (* Serve exact revisits from the full-result cache before any engine or
-     trace machinery engages.  Served cells are [Replay]-mode (no VM
-     execution produced them here), so sampled auditing covers this fast
-     path exactly like trace replays. *)
-  let serve_cached () =
-    List.iter
-      (fun i ->
-        if results.(i) = None then begin
-          let t0 = Vmbp_sim.Env.now () in
-          match result_find arr.(i) with
-          | None -> ()
-          | Some run ->
-              let wall = Vmbp_sim.Env.now () -. t0 in
-              finish i
-                {
-                  cell = arr.(i);
-                  outcome = Ok run;
-                  wall_seconds = wall;
-                  serve_seconds = wall;
-                  mode = Replay;
-                  attempts = 1;
-                  timed_out = false;
-                  from_store = false;
-                  audited = false;
-                }
-        end)
-      idxs
-  in
-  let traced () =
-    (* Self-check compares simulators event by event, which only a fresh
-       engine execution per cell provides: the trace fast path is
-       exactly what is under audit, so it is bypassed. *)
-    if !self_check || !trace_cap_mb <= 0 then direct ()
-    else
-      let c0 = arr.(List.hd idxs) in
-      match cache_find c0 with
-      | `Live entry ->
-          replay_group entry ~first_record:false ~extra:0. idxs;
-          cache_release entry
-      | `Summary entry -> (
-          match
-            memo_cells entry arr
-              (List.filter (fun i -> results.(i) = None) idxs)
-          with
-          | Some timed -> List.iter (fun (i, t) -> finish i t) timed
-          | None -> record_or_direct ())
-      | `Miss -> record_or_direct ()
-  in
   (* Group-level guard: anything raised outside the per-cell guards
-     (recording machinery, cache bookkeeping, the injected record fault)
-     degrades this group to per-cell direct runs instead of escaping into
-     the pool.  Worker death is the deliberate exception -- it must escape
-     to exercise the supervision layer above. *)
+     (recording machinery, the injected record fault) degrades this group
+     to per-cell direct runs instead of escaping into the pool.  Worker
+     death is the deliberate exception -- it must escape to exercise the
+     supervision layer above. *)
   progress_busy (cell_name arr.(List.hd idxs));
   Vmbp_obs.Registry.gauge_add g_busy_workers 1.;
   Fun.protect
@@ -1170,24 +871,50 @@ let run_group ~bank_domains results arr idxs =
       Vmbp_obs.Registry.gauge_add g_busy_workers (-1.);
       progress_idle ())
     (fun () ->
-      match
-        serve_cached ();
-        traced ()
-      with
+      match compute () with
       | () -> ()
       | exception Faults.Worker_killed -> raise Faults.Worker_killed
       | exception _ -> direct ())
 
-(* Group cell indices by (workload, technique, scale), preserving first-
-   occurrence order and ascending indices within each group. *)
-let group_cells arr =
-  let groups : (cell * int list ref) list ref = ref [] in
+(* Deduplicate the cells still unserved after the store pre-pass by
+   configuration: the first cell of each {!store_key} (with the same
+   workload value -- identity is physical, so two distinct workloads that
+   share a name are never merged) is computed, and every later one is
+   recorded in [copies] as a copy of it.  Under [--self-check] every cell
+   is its own configuration: each must run its own lockstep execution.
+   Returns the computed cells' indices in input order. *)
+let dedupe b =
+  let firsts : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  let computed = ref [] in
   Array.iteri
     (fun i c ->
+      if b.results.(i) = None then
+        let first =
+          if !self_check then None
+          else
+            List.find_opt
+              (fun f -> b.arr.(f).workload == c.workload)
+              (Hashtbl.find_all firsts (store_key c))
+        in
+        match first with
+        | Some f -> b.copies.(f) <- b.copies.(f) @ [ i ]
+        | None ->
+            Hashtbl.add firsts (store_key c) i;
+            computed := i :: !computed)
+    b.arr;
+  List.rev !computed
+
+(* Group computed cell indices by (workload, technique, scale), preserving
+   first-occurrence order and ascending indices within each group. *)
+let group_cells arr idxs =
+  let groups : (cell * int list ref) list ref = ref [] in
+  List.iter
+    (fun i ->
+      let c = arr.(i) in
       match List.find_opt (fun (c0, _) -> same_group c0 c) !groups with
       | Some (_, l) -> l := i :: !l
       | None -> groups := (c, ref [ i ]) :: !groups)
-    arr;
+    idxs;
   List.rev_map (fun (_, l) -> List.rev !l) !groups
 
 (* A cell skipped because shutdown was requested before it ran.
@@ -1230,7 +957,7 @@ let max_respawn_rounds = 64
    are joined, the supervisor respawns a fresh pool over the orphans plus
    whatever the dead workers left in the queue, so queued cells survive
    any number of worker deaths (up to the livelock backstop). *)
-let run_pool ~jobs results arr groups =
+let run_pool ~jobs b groups =
   let rec round n groups =
     let q = queue_create () in
     List.iter (fun g -> queue_push q g) groups;
@@ -1248,7 +975,7 @@ let run_pool ~jobs results arr groups =
                  index. *)
               match
                 Faults.worker_death ();
-                run_group ~bank_domains:1 results arr g
+                run_group ~bank_domains:1 b g
               with
               | () -> loop ()
               | exception Faults.Worker_killed ->
@@ -1274,14 +1001,17 @@ let run_pool ~jobs results arr groups =
           (fun g ->
             match
               Faults.worker_death ();
-              run_group ~bank_domains:1 results arr g
+              run_group ~bank_domains:1 b g
             with
             | () -> ()
             | exception Faults.Worker_killed ->
                 List.iter
                   (fun i ->
-                    if results.(i) = None then
-                      results.(i) <- Some (abandoned_cell arr.(i)))
+                    List.iter
+                      (fun j ->
+                        if b.results.(j) = None then
+                          b.results.(j) <- Some (abandoned_cell b.arr.(j)))
+                      (i :: b.copies.(i)))
                   g)
           pending
       else round (n + 1) pending
@@ -1294,8 +1024,9 @@ let run_cells ?jobs cells =
     max 1 (match jobs with Some j -> j | None -> !default_jobs)
   in
   let arr = Array.of_list cells in
-  let results = Array.make (Array.length arr) None in
-  progress_begin (Array.length arr);
+  let n = Array.length arr in
+  let b = { arr; results = Array.make n None; copies = Array.make n [] } in
+  progress_begin n;
   (* Resume pre-pass: serve stored cells before planning any work, so a
      fully stored group neither records nor replays anything. *)
   (match !store with
@@ -1306,37 +1037,34 @@ let run_cells ?jobs cells =
             (fun i c ->
               match store_lookup c with
               | Some t ->
-                  results.(i) <- Some t;
+                  b.results.(i) <- Some t;
                   progress_cell_done ()
               | None -> ())
             arr));
-  let groups =
-    List.filter_map
-      (fun g ->
-        match List.filter (fun i -> results.(i) = None) g with
-        | [] -> None
-        | g -> Some g)
-      (group_cells arr)
-  in
-  let ngroups = List.length groups in
-  if ngroups = 0 then ()
-  else if jobs = 1 || ngroups <= 1 then
-    (* Sequential path, bit-for-bit the reference for the pool.  A worker
-       death here has no pool above it to respawn into, so it escapes
-       [run_cells] entirely -- deliberately: it is the fault harness's
-       stand-in for a killed process (an installed store keeps everything
-       completed so far; the harness maps it to a resumable exit).  No
-       pool runs beside it, so a large bank spreads its lanes over every
-       core the process may use. *)
-    let bank_domains = Domain.recommended_domain_count () in
-    List.iter
-      (fun g ->
-        if not (shutting_down ()) then begin
-          Faults.worker_death ();
-          run_group ~bank_domains results arr g
-        end)
-      groups
-  else run_pool ~jobs results arr groups;
+  let computed = dedupe b in
+  let groups = group_cells arr computed in
+  Vmbp_obs.Registry.add m_plan_cells
+    (Array.fold_left (fun k r -> if r = None then k + 1 else k) 0 b.results);
+  Vmbp_obs.Registry.add m_plan_configs (List.length computed);
+  Vmbp_obs.Registry.add m_plan_groups (List.length groups);
+  (match groups with
+  | _ :: _ :: _ when jobs > 1 -> run_pool ~jobs b groups
+  | groups ->
+      (* Sequential path, bit-for-bit the reference for the pool.  A
+         worker death here has no pool above it to respawn into, so it
+         escapes [run_cells] entirely -- deliberately: it is the fault
+         harness's stand-in for a killed process (an installed store keeps
+         everything completed so far; the harness maps it to a resumable
+         exit).  No pool runs beside it, so a large bank spreads its lanes
+         over every core the process may use. *)
+      let bank_domains = Domain.recommended_domain_count () in
+      List.iter
+        (fun g ->
+          if not (shutting_down ()) then begin
+            Faults.worker_death ();
+            run_group ~bank_domains b g
+          end)
+        groups);
   progress_end ();
   let out =
     Array.to_list
@@ -1348,36 +1076,10 @@ let run_cells ?jobs cells =
                (* Only a graceful shutdown leaves holes: the cell was
                   skipped, and the harness marks the report partial. *)
                interrupted_cell arr.(i))
-         results)
+         b.results)
   in
   record out;
   out
-
-let matrix ?(scale = 1) ?jobs ?(tag = "matrix") ~cpu ~techniques workloads =
-  let cells =
-    List.concat_map
-      (fun w ->
-        List.map (fun t -> cell ~tag ~scale ~cpu ~technique:t w) techniques)
-      workloads
-  in
-  let results = run_cells ?jobs cells in
-  let nt = List.length techniques in
-  let rec regroup ws rs =
-    match ws with
-    | [] -> []
-    | w :: ws' ->
-        let rec split k acc rs =
-          if k = 0 then (List.rev acc, rs)
-          else
-            match rs with
-            | r :: rs' -> split (k - 1) (r :: acc) rs'
-            | [] -> assert false
-        in
-        let row, rest = split nt [] rs in
-        (w, List.map (fun r -> (r.cell.technique, r.outcome)) row)
-        :: regroup ws' rest
-  in
-  regroup workloads results
 
 (* ------------------------------------------------------------------ *)
 (* JSON summary *)
@@ -1418,6 +1120,10 @@ let json_of_timed t =
   (match t.cell.predictor with
   | Some p -> add ",\"predictor\":\"%s\"" (json_escape (Predictor.kind_name p))
   | None -> ());
+  (* The parameter-complete configuration the labels above collapse
+     (technique and predictor parameters): cells with equal keys share one
+     computation. *)
+  add ",\"key\":\"%s\"" (json_escape (store_key t.cell));
   (match t.outcome with
   | Ok r ->
       let m = r.Runner.result.Engine.metrics in
@@ -1495,9 +1201,9 @@ let json_summary ?jobs results =
      [translations] counts full layout translations built by the engine
      (plan-cache misses and uncacheable profiled runs), [plan_reuses]
      counts translations instantiated from a cached plan by array blits,
-     [result_hits] counts cells served verbatim from the full-result
-     cache, and [translate_wall_seconds] is the wall clock spent building
-     or instantiating translations. *)
+     [result_hits] counts cells that copied a configuration their plan
+     computed for an earlier cell, and [translate_wall_seconds] is the
+     wall clock spent building or instantiating translations. *)
   let registry_counter name =
     match Vmbp_obs.Registry.find_counter name with
     | Some n -> Int64.to_int n
@@ -1511,7 +1217,7 @@ let json_summary ?jobs results =
        (registry_counter "engine.plan_reuses"));
   Buffer.add_string b
     (Printf.sprintf ",\"result_hits\":%d"
-       (registry_counter "result_cache.hits"));
+       (registry_counter "plan.cells" - registry_counter "plan.configs"));
   Buffer.add_string b
     (Printf.sprintf ",\"translate_wall_seconds\":%s"
        (json_float
@@ -1585,7 +1291,7 @@ let json_summary ?jobs results =
   Buffer.add_string b
     (Printf.sprintf ",\"replay_wall_seconds\":%s" (json_float (wall Replay)));
   (* vmbp-cells/4: time spent serving cells without any simulation at all
-     (store lookups and memo-table replays). *)
+     (store lookups). *)
   Buffer.add_string b
     (Printf.sprintf ",\"serve_wall_seconds\":%s"
        (json_float

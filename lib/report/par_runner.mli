@@ -21,24 +21,22 @@
     CLI harnesses dump as a machine-readable JSON summary ([--json FILE]) so
     the performance trajectory can be tracked across changes.
 
-    {b Record once, replay many.}  Cells that share (workload, technique,
-    scale) run the exact same VM execution -- only the modelled hardware
-    differs -- so the planner groups them, records the engine's event stream
-    once per group ({!Runner.record}), and replays every cell of the group
-    from that trace.  The replay itself is banked ({!Runner.replay_bank}):
-    the group's distinct (predictor, I-cache) configurations are collected
-    up front and simulated together in one traversal per event stream, so
-    per-group replay cost is O(events), not O(cells x events); the
-    per-cell results are then fanned back out of the trace's memo tables.
-    Recorded traces are kept in a
-    process-wide LRU cache bounded by {!trace_cap_mb}, so later experiments
-    over the same grid (the common shape: one figure per CPU) skip the VM
-    execution entirely.  Eviction recycles a trace's stream storage but
-    keeps a memo-only summary that still answers every simulator
-    configuration the trace ever served ({!Runner.replay_memo}); only a new
-    configuration on an evicted group re-records.  Simulated numbers are
-    identical to direct runs by construction; any recording problem (budget
-    exceeded, trap during load) falls back to per-cell direct simulation. *)
+    {b One plan per call.}  {!run_cells} plans its whole cell list at
+    once.  Cells with the same full configuration ({!store_key}, with the
+    same workload value) are computed once: every later one is a copy of
+    the first, [Replay]-mode under its own cell and tag, and counted in
+    the JSON summary's [result_hits].  The distinct configurations are
+    grouped by (workload, technique, scale), which fixes the VM execution
+    -- only the modelled hardware differs.  A group of one configuration
+    runs directly.  A larger group records the engine's event stream once
+    ({!Runner.record}), simulates every configuration in one banked
+    traversal per event stream ({!Runner.replay_bank}), fans the per-cell
+    results back out of the trace's memo tables and releases the trace:
+    no trace or result outlives its call.  Callers that want sharing
+    across experiments put them in one call ({!Experiments.report}).
+    Simulated numbers are identical to direct runs by construction; any
+    recording problem (cap exceeded, trap during load) falls back to
+    per-cell direct simulation. *)
 
 type cell = {
   tag : string;  (** experiment-level label carried into the JSON log *)
@@ -66,8 +64,8 @@ type timed = {
           work *)
   serve_seconds : float;
       (** the part of this cell's cost that was pure serving -- store
-          lookup and reconstruction, or memo-table replay -- with no
-          simulation at all; [0] for cells that ran a simulator *)
+          lookup and reconstruction -- with no simulation at all; [0] for
+          cells that ran a simulator and for copies *)
   mode : mode;
   attempts : int;
       (** cell attempts consumed, [> 1] after transient-failure retries;
@@ -104,7 +102,8 @@ val progress : bool ref
     record plus a minimized repro artifact (see {!Audit}).
 
     Independently, [audit_sample] cross-checks a deterministic fraction
-    of the cells served by the record/replay and memo fast paths, and of
+    of the cells served by the record/replay fast path or copied from
+    an earlier cell of the same configuration, and of
     the cells whose engine run replayed a recorded control path
     ({!Runner.run.replayed}), against a fresh direct
     {!Runner.run_result} on a real-semantics session; any field-level
@@ -121,7 +120,7 @@ val self_check : bool ref
     Default [false]; set from [--self-check]. *)
 
 val audit_sample : float ref
-(** Fraction (in [0, 1]) of fast-path cells (replay/memo-served, or
+(** Fraction (in [0, 1]) of fast-path cells (replayed or copied, or
     engine runs on a replayed control path) to cross-check against a
     fresh real-semantics run.  Default [0.02]; set from
     [--audit-sample P]. *)
@@ -146,8 +145,8 @@ val retry_backoff_s : float ref
 
     The store ({!Vmbp_store.Store}) is the one way a cell persists: a
     durable cross-run result service, sharded, CRC-framed, addressed by
-    the tagless parameter-complete cell identity (the full-result cache's
-    key) plus a configuration fingerprint (scale, CPU profile, predictor
+    the tagless parameter-complete cell identity (the key a plan
+    deduplicates by) plus a configuration fingerprint (scale, CPU profile, predictor
     override, trace setting).  With a store installed, {!run_cells}
     serves matching cells from it before planning any work
     ([from_store = true] -- no simulator ran) and appends -- fsync'd --
@@ -213,26 +212,10 @@ val banked_configs : unit -> int
     traversals since process start. *)
 
 val trace_cap_mb : int ref
-(** Budget, in megabytes, for recorded traces retained in the process-wide
-    LRU cache; also caps any single recording (an over-budget group falls
-    back to direct runs).  [<= 0] disables record/replay entirely.  Set from
-    the [--trace-cap-mb N] command-line flag; defaults to 256. *)
-
-val clear_trace_cache : unit -> unit
-(** Drop every retained trace, including memo-only summaries (used by tests
-    and memory-sensitive harnesses). *)
-
-val trace_cache_bytes : unit -> int
-(** Current retained stream footprint in bytes (summaries are not
-    counted -- their streams are already recycled). *)
-
-val clear_result_cache : unit -> unit
-(** Drop every cached cell result.  Finished cells are retained for the
-    process lifetime keyed by their full configuration (workload identity
-    is physical), so an experiment batch that revisits a cell verbatim is
-    served without any simulation; cells served this way are
-    [Replay]-mode and subject to sampled auditing like trace replays.
-    Disabled under [--self-check] and with [--trace-cap-mb 0]. *)
+(** Cap, in megabytes, on one group's recorded trace: an over-cap group
+    falls back to direct runs.  [<= 0] disables recording entirely, so
+    every configuration runs its own engine execution.  Set from the
+    [--trace-cap-mb N] command-line flag; defaults to 256. *)
 
 val cell :
   ?tag:string ->
@@ -248,24 +231,14 @@ val cell_name : cell -> string
 
 val run_cells : ?jobs:int -> cell list -> timed list
 (** Run every cell and return the outcomes in the input order regardless of
-    completion order.  Cells are grouped by (workload, technique, scale);
-    groups are the unit of parallelism, [?jobs] at a time (default
-    {!default_jobs}), and within a group one recorded execution feeds every
-    cell's replay. *)
-
-val matrix :
-  ?scale:int ->
-  ?jobs:int ->
-  ?tag:string ->
-  cpu:Vmbp_machine.Cpu_model.t ->
-  techniques:Vmbp_core.Technique.t list ->
-  Vmbp_workloads.t list ->
-  (Vmbp_workloads.t
-  * (Vmbp_core.Technique.t * (Runner.run, string) result) list)
-  list
-(** The benchmark-times-variant grid of {!Runner.matrix}, run through the
-    pool.  Cell order inside the grid (workload-major, then technique) and
-    the returned structure are deterministic. *)
+    completion order.  After the store pre-pass the unserved cells are
+    deduplicated by configuration and grouped by (workload, technique,
+    scale); groups are the unit of parallelism, [?jobs] at a time (default
+    {!default_jobs}), and within a group one engine execution feeds every
+    configuration.  Adds the plan's size to the [plan.cells] (cells left
+    after the store pre-pass), [plan.configs] (distinct configurations
+    among them; every cell under [--self-check]) and [plan.groups]
+    registry counters. *)
 
 val drain_log : unit -> timed list
 (** All cells recorded since the previous drain, in chronological batch

@@ -300,24 +300,7 @@ let bank_work ~configs tr =
   let predictors, icaches = bank_configs ~configs tr in
   Trace.bank_work tr.t_data ~predictors ~icaches
 
-let replay_memo ?predictor ~cpu tr =
-  let config = Config.make ~cpu ?predictor tr.t_technique in
-  Option.map (run_of_replay tr cpu)
-    (Trace.replay_memo tr.t_data ~cpu
-       ~predictor:(Config.predictor_kind config))
-
 let trace_bytes tr = Trace.bytes tr.t_data
 let release_trace tr = Trace.release tr.t_data
-
-let matrix ?scale ~cpu ~techniques workloads =
-  (* One trapped cell degrades to an [Error] entry; sibling experiments
-     still run and report. *)
-  List.map
-    (fun w ->
-      ( w,
-        List.map
-          (fun t -> (t, run_result ?scale ~cpu ~technique:t w))
-          techniques ))
-    workloads
 
 let speedup ~baseline r = baseline.result.Engine.cycles /. r.result.Engine.cycles

@@ -85,17 +85,6 @@ val run_checked :
     divergence records; [fast_maker] substitutes the fast simulator
     (mutation tests). *)
 
-val matrix :
-  ?scale:int ->
-  cpu:Vmbp_machine.Cpu_model.t ->
-  techniques:Vmbp_core.Technique.t list ->
-  Vmbp_workloads.t list ->
-  (Vmbp_workloads.t * (Vmbp_core.Technique.t * (run, string) result) list) list
-(** The full benchmark-times-variant grid used by the speedup figures.
-    Failures are isolated per cell: one trapped workload/technique pair
-    yields an [Error] cell and every sibling still runs.  See
-    {!Par_runner.matrix} for the multicore version. *)
-
 val speedup : baseline:run -> run -> float
 (** Ratio of modelled cycles: how much faster than [baseline]. *)
 
@@ -147,8 +136,8 @@ val replay_bank :
     override) pair to its effective predictor kind and I-cache geometry --
     the same resolution {!replay} performs -- and simulate every distinct
     not-yet-memoized configuration in one traversal per event stream.
-    Subsequent {!replay} / {!replay_memo} calls for these configurations
-    are then served from the memo tables at cost-model price.  Returns the
+    Subsequent {!replay} calls for these configurations are then served
+    from the memo tables at cost-model price.  Returns the
     number of configurations freshly simulated.  [domains] is the bank's
     lane width and [poll] follows {!Trace.replay_bank}'s contract: only
     the calling domain polls, once on entry even when everything is
@@ -163,19 +152,8 @@ val bank_work :
 (** {!Trace.bank_work} of the configurations {!replay_bank} would
     resolve: the event-config work of the fresh ones. *)
 
-val replay_memo :
-  ?predictor:Vmbp_machine.Predictor.kind ->
-  cpu:Vmbp_machine.Cpu_model.t ->
-  trace ->
-  (run, string) result option
-(** [replay], answered purely from the trace's per-configuration memo
-    tables: [Some] exactly when this predictor kind and I-cache geometry
-    have both been replayed on the trace before.  Works on a
-    [release_trace]d trace, so an evicted trace still serves repeat
-    configurations (see {!Trace.replay_memo}). *)
-
 val trace_bytes : trace -> int
-(** Storage footprint in bytes, for cache accounting. *)
+(** Storage footprint in bytes (the quantity [cap_bytes] bounds). *)
 
 val release_trace : trace -> unit
 (** Recycle the trace's storage (see {!Trace.release}); the trace must not

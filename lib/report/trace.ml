@@ -626,8 +626,14 @@ let run_lanes poll ~width t lanes =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let fresh_of t bank memo =
-  Array.of_list (List.filter (fun (d, _) -> memo_find t memo d = None) bank)
+(* Simulators for the requested configurations not yet in [memo]: filtered
+   by descriptor before construction, so a memo-served replay builds no
+   tables at all.  [create_bank] deduplicates and skips configurations
+   whose constructor raises. *)
+let fresh_of t memo descriptor create_bank configs =
+  Array.of_list
+    (create_bank
+       (List.filter (fun c -> memo_find t memo (descriptor c) = None) configs))
 
 let replay_bank ?(poll = fun () -> ()) ?(domains = 1) t ~predictors ~icaches =
   if not t.live then invalid_arg "Trace.replay_bank: trace was released";
@@ -635,8 +641,13 @@ let replay_bank ?(poll = fun () -> ()) ?(domains = 1) t ~predictors ~icaches =
      token iteration, and without this entry poll a long run of such
      groups would be invisible to the watchdog deadline. *)
   poll ();
-  let fp = fresh_of t (Predictor.create_bank predictors) t.pred_memo in
-  let fi = fresh_of t (Icache.create_bank icaches) t.icache_memo in
+  let fp =
+    fresh_of t t.pred_memo Predictor.descriptor Predictor.create_bank
+      predictors
+  in
+  let fi =
+    fresh_of t t.icache_memo Icache.descriptor Icache.create_bank icaches
+  in
   let width = max 1 domains in
   let lanes = cut_lanes t ~width fp fi in
   if Array.length lanes > 0 then run_lanes poll ~width t lanes;
@@ -695,9 +706,7 @@ let replay ?poll t ~cpu ~predictor =
 
 (* Unlike [replay], valid on a released trace: the memo tables, base
    metrics and output are ordinary GC-managed values that survive chunk
-   recycling, so a trace whose storage was evicted can still answer for
-   every simulator configuration it ever replayed -- including every
-   configuration a banked replay simulated while the trace was live. *)
+   recycling. *)
 let replay_memo t ~cpu ~predictor =
   match
     ( memo_find t t.pred_memo (Predictor.descriptor predictor),

@@ -68,7 +68,8 @@ val replay_bank :
     in exactly the stream's order, so its counters equal an
     event-by-event replay's.  Returns the number of configurations
     freshly simulated (0 when everything was already memoized).
-    Configurations are deduplicated by their canonical descriptor;
+    Configurations are deduplicated by their canonical descriptor, and
+    already-memoized ones are dropped before any simulator is built;
     invalid ones (whose simulator constructor raises) are skipped and
     left un-memoized, so the error surfaces on the per-cell path that
     actually uses them.
@@ -127,10 +128,10 @@ val replay_memo :
   Vmbp_core.Engine.result option
 (** [replay], answered purely from the memo tables: [Some] exactly when both
     the predictor kind and the I-cache geometry have been replayed on this
-    trace before.  Valid on a [release]d trace -- the memos, base counters
-    and output are ordinary GC-managed values that survive chunk recycling
-    -- so an evicted trace still resolves every configuration it ever
-    served, at cost-model price. *)
+    trace before.  Never simulates, so it is valid on a [release]d trace
+    too -- the memos, base counters and output are ordinary GC-managed
+    values that survive chunk recycling.  Tests and [engine_bench] use it
+    to read a bank's memo tables directly. *)
 
 val release : t -> unit
 (** Return the trace's chunks to the recycling pool.  The trace must not be

@@ -156,11 +156,7 @@ let enqueue sh job =
    grid's cells, not whatever query batches ran since the last grid. *)
 let grid_doc (cfg : config) scale =
   ignore (Par_runner.drain_log ());
-  List.iter
-    (fun (e : Experiments.t) ->
-      let s = Option.value scale ~default:e.Experiments.default_scale in
-      ignore (e.Experiments.run ~scale:s))
-    Experiments.all;
+  ignore (Experiments.report ?scale Experiments.all);
   Par_runner.json_summary ~jobs:cfg.jobs (Par_runner.drain_log ())
 
 (* One compute-pool step: drain every queued job, merge the cell jobs

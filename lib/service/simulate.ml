@@ -645,12 +645,9 @@ let run_seed ?mutation ~check_memo seed =
       Vmbp_obs.Registry.reset ();
       (* Spans run on the virtual clock with ids reset per seed, so the
          trace of a seed is a pure function of the seed (invariant 2 for
-         the observability layer itself).  That requires cold runner
-         caches: a trace or result memo retained from an earlier seed in
-         this process would skip the record/replay spans the first run
-         recorded. *)
-      PR.clear_trace_cache ();
-      PR.clear_result_cache ();
+         the observability layer itself).  No trace or result outlives
+         a [run_cells] call, so nothing from an earlier seed can skip the
+         record/replay spans. *)
       Vmbp_obs.Span.set_clock (fun () -> Sim.now w);
       Vmbp_obs.Span.enable ();
       (match Vmbp_report.Faults.configure chaos with

@@ -388,7 +388,6 @@ let test_observability_invisible () =
   (* The same cell grid with span collection and metrics on must produce
      byte-identical simulated numbers: observation can never steer. *)
   let run_once () =
-    Vmbp_report.Par_runner.clear_trace_cache ();
     let r =
       signature (Vmbp_report.Par_runner.run_cells ~jobs:1 (toy_cells ()))
     in
@@ -403,7 +402,7 @@ let test_observability_invisible () =
     "numbers identical with observability on" base traced;
   check_bool "spans were actually collected" true (Vmbp_obs.Span.count () > 0);
   check_bool "metrics were actually collected" true
-    (match Vmbp_obs.Registry.find_counter "trace_cache.misses" with
+    (match Vmbp_obs.Registry.find_counter "plan.cells" with
     | Some n -> n > 0L
     | None -> false)
 
@@ -541,7 +540,6 @@ let test_record_overflow_and_fallback () =
   | Error (`Failed msg) -> Alcotest.fail ("unexpected failure: " ^ msg));
   (* ...and the planner must fall back to direct cells yet still agree with
      the traced run. *)
-  Vmbp_report.Par_runner.clear_trace_cache ();
   let cells () =
     let w = toy_workload "trace-fallback" in
     List.map
@@ -569,50 +567,11 @@ let test_record_overflow_and_fallback () =
        traced);
   Alcotest.(check (list (pair string string)))
     "direct and traced agree" (signature direct) (signature traced);
-  check_bool "trace retained for later experiments" true
-    (Vmbp_report.Par_runner.trace_cache_bytes () > 0);
-  Vmbp_report.Par_runner.clear_trace_cache ();
-  check_int "cache cleared" 0 (Vmbp_report.Par_runner.trace_cache_bytes ());
   ignore (Vmbp_report.Par_runner.drain_log ())
-
-let test_memo_survives_release () =
-  (* A released trace keeps answering configurations it already served:
-     the planner's eviction relies on this to turn evicted cache entries
-     into memo-only summaries. *)
-  let w = toy_workload "trace-memo" in
-  let tr =
-    match Vmbp_report.Runner.record ~technique:Technique.plain w with
-    | Ok tr -> tr
-    | Error _ -> Alcotest.fail "toy workload must record"
-  in
-  let cpu = Cpu_model.ideal in
-  let served =
-    match Vmbp_report.Runner.replay ~cpu tr with
-    | Ok r -> r
-    | Error msg -> Alcotest.fail msg
-  in
-  (match Vmbp_report.Runner.replay_memo ~cpu:Cpu_model.pentium4_northwood tr with
-  | None -> ()
-  | Some _ -> Alcotest.fail "unseen configuration must miss the memo");
-  Vmbp_report.Runner.release_trace tr;
-  (match Vmbp_report.Runner.replay_memo ~cpu tr with
-  | Some (Ok r) ->
-      check_result_equal "memo after release"
-        served.Vmbp_report.Runner.result r.Vmbp_report.Runner.result;
-      Alcotest.(check string)
-        "output after release" served.Vmbp_report.Runner.output
-        r.Vmbp_report.Runner.output
-  | Some (Error msg) -> Alcotest.fail msg
-  | None -> Alcotest.fail "served configuration must hit the memo");
-  match Vmbp_report.Runner.replay_memo ~cpu:Cpu_model.pentium4_northwood tr with
-  | None -> ()
-  | Some _ -> Alcotest.fail "released trace cannot serve new configurations"
 
 (* Tentpole: one banked traversal must reproduce every per-cell replay
    field for field across the full CPU grid and predictor overrides,
-   including trapping runs; and because the bank lands in the trace's memo
-   tables, the LRU demotion path (release + replay_memo) serves every
-   banked configuration too. *)
+   including trapping runs. *)
 let test_banked_replay_matches_per_cell () =
   let overrides =
     [
@@ -643,37 +602,29 @@ let test_banked_replay_matches_per_cell () =
         (name ^ ": re-banking the same grid simulates nothing")
         0
         (Vmbp_report.Runner.replay_bank ~configs:grid banked);
-      let compare_served tag =
-        List.iter
-          (fun ((cpu : Cpu_model.t), predictor) ->
-            let label =
-              Printf.sprintf "%s/%s/%s/%s" name tag cpu.Cpu_model.name
-                (match predictor with
-                | Some p -> Predictor.kind_name p
-                | None -> "cpu")
-            in
-            let served =
-              Vmbp_report.Runner.replay_memo ?predictor ~cpu banked
-            in
-            let reference =
-              Vmbp_report.Runner.replay ?predictor ~cpu control
-            in
-            match (served, reference) with
-            | Some (Ok a), Ok b ->
-                check_result_equal label a.Vmbp_report.Runner.result
-                  b.Vmbp_report.Runner.result;
-                Alcotest.(check string)
-                  (label ^ " output") b.Vmbp_report.Runner.output
-                  a.Vmbp_report.Runner.output
-            | Some (Error a), Error b ->
-                Alcotest.(check string) (label ^ " error") b a
-            | None, _ -> Alcotest.fail (label ^ ": bank must have memoized")
-            | _ -> Alcotest.fail (label ^ ": served and direct disagree"))
-          grid
-      in
-      compare_served "banked";
+      List.iter
+        (fun ((cpu : Cpu_model.t), predictor) ->
+          let label =
+            Printf.sprintf "%s/%s/%s" name cpu.Cpu_model.name
+              (match predictor with
+              | Some p -> Predictor.kind_name p
+              | None -> "cpu")
+          in
+          let served = Vmbp_report.Runner.replay ?predictor ~cpu banked in
+          let reference =
+            Vmbp_report.Runner.replay ?predictor ~cpu control
+          in
+          match (served, reference) with
+          | Ok a, Ok b ->
+              check_result_equal label a.Vmbp_report.Runner.result
+                b.Vmbp_report.Runner.result;
+              Alcotest.(check string)
+                (label ^ " output") b.Vmbp_report.Runner.output
+                a.Vmbp_report.Runner.output
+          | Error a, Error b -> Alcotest.(check string) (label ^ " error") b a
+          | _ -> Alcotest.fail (label ^ ": served and direct disagree"))
+        grid;
       Vmbp_report.Runner.release_trace banked;
-      compare_served "released";
       Vmbp_report.Runner.release_trace control)
     [ ("bank-grid", false); ("bank-trap", true) ];
   (* Fuel exhaustion mid-run: the banked counters replay the partial
@@ -868,8 +819,6 @@ let reset_supervision () =
   PR.cell_timeout := 0.;
   PR.cell_retries := 1;
   PR.retry_backoff_s := 0.001;
-  PR.clear_trace_cache ();
-  PR.clear_result_cache ();
   ignore (PR.drain_log ())
 
 (* Chaos state is process-global; leave none of it behind for later tests. *)
@@ -926,7 +875,6 @@ let test_cell_raise_retry () =
   (* More injected failures than retries: the cell fails with the injected
      error after exhausting its attempts, and siblings are untouched. *)
   Faults.reset ();
-  PR.clear_trace_cache ();
   configure_chaos "cell-raise=5";
   PR.cell_retries := 2;
   match
@@ -950,7 +898,6 @@ let test_record_fail_degrades () =
       [ Cpu_model.ideal; Cpu_model.pentium4_northwood ]
   in
   let reference = signature (PR.run_cells ~jobs:1 (cells ())) in
-  PR.clear_trace_cache ();
   configure_chaos "record-fail=1";
   let chaos = PR.run_cells ~jobs:1 (cells ()) in
   check_int "record-fail fired" 1 (Faults.fired Faults.Record_fail);
@@ -972,7 +919,6 @@ let test_slow_cell_timeout () =
       List.iter
         (fun (cap, path) ->
           PR.trace_cap_mb := cap;
-          PR.clear_trace_cache ();
           Faults.reset ();
           configure_chaos "slow-cell=1@0.3";
           match
@@ -1084,8 +1030,6 @@ let test_store_corrupt_scan_fuzz () =
             output_bytes oc b;
             close_out oc)
           shards;
-        PR.clear_trace_cache ();
-        PR.clear_result_cache ();
         PR.set_store ~shards:2 dir;
         let resumed = PR.run_cells ~jobs:1 (toy_cells ()) in
         Alcotest.(check (list (pair string string)))
@@ -1112,8 +1056,6 @@ let test_store_roundtrip_serve () =
           check_int "every success stored" 12 s.Vmbp_store.Store.appended
       | None -> Alcotest.fail "store must be installed");
       (* Same process, same store: the live table serves instantly. *)
-      PR.clear_trace_cache ();
-      PR.clear_result_cache ();
       let second = PR.run_cells ~jobs:1 (toy_cells ()) in
       List.iter
         (fun (t : PR.timed) ->
@@ -1124,8 +1066,6 @@ let test_store_roundtrip_serve () =
       (* Fresh process simulation: close and reopen the same directory. *)
       PR.clear_store ();
       PR.set_store ~shards:4 dir;
-      PR.clear_trace_cache ();
-      PR.clear_result_cache ();
       let third = PR.run_cells ~jobs:1 (toy_cells ()) in
       Alcotest.(check (list (pair string string)))
         "reloaded store is identical" (signature first) (signature third);
@@ -1180,8 +1120,6 @@ let test_sequential_kill_and_resume () =
      -- then re-run on the same store and get a byte-identical report. *)
   with_temp_store (fun dir ->
       let reference = signature (PR.run_cells ~jobs:1 (toy_cells ())) in
-      PR.clear_trace_cache ();
-      PR.clear_result_cache ();
       configure_chaos "worker-death=2+1";
       PR.set_store ~shards:4 dir;
       (match PR.run_cells ~jobs:1 (toy_cells ()) with
@@ -1197,8 +1135,6 @@ let test_sequential_kill_and_resume () =
       (* A fresh process: nothing survives but the store directory. *)
       Faults.reset ();
       PR.clear_store ();
-      PR.clear_trace_cache ();
-      PR.clear_result_cache ();
       PR.set_store ~shards:4 dir;
       let resumed = PR.run_cells ~jobs:1 (toy_cells ()) in
       Alcotest.(check (list (pair string string)))
@@ -1401,7 +1337,6 @@ let test_audit_sample_crosschecks_replays () =
     (Audit.audited_count ());
   (* Rate 0 audits nothing. *)
   Audit.reset_stats ();
-  PR.clear_trace_cache ();
   PR.audit_sample := 0.0;
   let results = PR.run_cells ~jobs:1 cells in
   List.iter
@@ -1990,6 +1925,136 @@ let test_lane_aborts () =
         "helper lane fault" msg);
   check_after_abort "helper abort" tr
 
+(* ------------------------------------------------------------------ *)
+(* One plan: experiments as data, deduplicated configurations, one engine
+   execution per (program, technique) group. *)
+
+module Experiments = Vmbp_report.Experiments
+
+(* Cells whose numbers came from a fresh engine execution. *)
+let engine_runs (results : PR.timed list) =
+  List.length
+    (List.filter
+       (fun (t : PR.timed) -> t.PR.mode <> PR.Replay && t.PR.attempts > 0)
+       results)
+
+let test_plan_shares_groups () =
+  let e id = Option.get (Experiments.find id) in
+  let fig7 = e "fig7" and fig8 = e "fig8" in
+  ignore (PR.drain_log ());
+  let joint = Experiments.report ~scale:1 [ fig7; fig8 ] in
+  let cells = PR.drain_log () in
+  (* Both figures read every Forth (workload, technique) pair, each under
+     its own CPU: one plan runs each pair once and banks both CPUs. *)
+  let groups =
+    List.sort_uniq compare
+      (List.map
+         (fun (t : PR.timed) ->
+           ( t.PR.cell.PR.workload.Vmbp_workloads.name,
+             Technique.descriptor t.PR.cell.PR.technique ))
+         cells)
+  in
+  check_int "both figures' cells" (2 * List.length groups) (List.length cells);
+  check_int "one engine execution per group" (List.length groups)
+    (engine_runs cells);
+  Alcotest.(check (list string))
+    "same tables as each figure planned alone"
+    [ fig7.Experiments.run ~scale:1; fig8.Experiments.run ~scale:1 ]
+    (List.map snd joint);
+  ignore (PR.drain_log ())
+
+let test_plan_copies_duplicates () =
+  let w = toy_workload "plan-dup" in
+  let cells =
+    List.map
+      (fun tag -> PR.cell ~tag ~cpu:Cpu_model.ideal ~technique:Technique.plain w)
+      [ "first"; "second"; "third" ]
+  in
+  Vmbp_obs.Registry.reset ();
+  let results = PR.run_cells ~jobs:1 cells in
+  Alcotest.(check (list string))
+    "each result carries its own tag" [ "first"; "second"; "third" ]
+    (List.map (fun (t : PR.timed) -> t.PR.cell.PR.tag) results);
+  check_int "computed once" 1 (engine_runs results);
+  Alcotest.(check (list string))
+    "the copies are replays" [ "direct"; "replay"; "replay" ]
+    (List.map (fun (t : PR.timed) -> PR.mode_name t.PR.mode) results);
+  (match List.map snd (signature results) with
+  | [ a; b; c ] ->
+      check_bool "copies equal the computed cell" true (a = b && b = c)
+  | _ -> Alcotest.fail "three cells in, three results out");
+  let json = PR.json_summary ~jobs:1 results in
+  check_bool "copies counted as result hits" true
+    (let needle = "\"result_hits\":2," in
+     let n = String.length needle in
+     let found = ref false in
+     for i = 0 to String.length json - n do
+       if String.sub json i n = needle then found := true
+     done;
+     !found);
+  ignore (PR.drain_log ())
+
+let test_plan_keeps_twins_apart () =
+  (* Equal names, different programs: a workload's identity is the value,
+     never its name. *)
+  let cells =
+    List.map
+      (fun trap ->
+        PR.cell ~tag:"twin" ~cpu:Cpu_model.ideal ~technique:Technique.plain
+          (toy_workload ~trap "plan-twin"))
+      [ true; false ]
+  in
+  (match PR.run_cells ~jobs:1 cells with
+  | [ a; b ] ->
+      check_bool "the trapping twin fails" true (Result.is_error a.PR.outcome);
+      check_bool "the healthy twin succeeds" true (Result.is_ok b.PR.outcome);
+      check_int "two engine executions" 2 (engine_runs [ a; b ])
+  | _ -> Alcotest.fail "two cells in, two results out");
+  ignore (PR.drain_log ())
+
+let test_plan_self_check_runs_all () =
+  (* Under --self-check every cell needs its own lockstep execution, so
+     nothing is deduplicated. *)
+  let w = toy_workload "plan-check" in
+  PR.self_check := true;
+  let results =
+    PR.run_cells ~jobs:1
+      (List.map
+         (fun tag ->
+           PR.cell ~tag ~cpu:Cpu_model.ideal ~technique:Technique.plain w)
+         [ "a"; "b"; "c" ])
+  in
+  check_int "every cell ran" 3 (engine_runs results);
+  List.iter
+    (fun (t : PR.timed) -> check_bool "cell audited" true t.PR.audited)
+    results;
+  check_int "three lockstep runs" 3 (Audit.audited_count ());
+  check_int "no divergences" 0 (Audit.divergence_count ());
+  ignore (PR.drain_log ())
+
+let test_banked_replay_builds_no_tables () =
+  (* A replay of a configuration the bank already simulated is served from
+     the memo tables: it must not construct (and throw away) the
+     configuration's BTB and I-cache.  The Pentium 4's BTB alone is four
+     4K-entry tables. *)
+  let tr =
+    Result.get_ok
+      (Vmbp_report.Runner.record ~technique:Technique.plain
+         (toy_workload "bank-alloc"))
+  in
+  let cpu = Cpu_model.pentium4_northwood in
+  ignore (Vmbp_report.Runner.replay_bank ~configs:[ (cpu, None) ] tr);
+  ignore (Vmbp_report.Runner.replay ~cpu tr);
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Vmbp_report.Runner.replay ~cpu tr));
+  let bytes = Gc.allocated_bytes () -. before in
+  Vmbp_report.Runner.release_trace tr;
+  let table = float_of_int (4096 * (Sys.word_size / 8)) in
+  check_bool
+    (Printf.sprintf "memo-served replay allocated %.0f bytes (< %.0f)" bytes
+       table)
+    true (bytes < table)
+
 let () =
   Alcotest.run "report"
     [
@@ -2053,8 +2118,8 @@ let () =
             test_replay_trap_and_fuel;
           Alcotest.test_case "overflow and fallback" `Quick
             test_record_overflow_and_fallback;
-          Alcotest.test_case "memo survives release" `Quick
-            test_memo_survives_release;
+          Alcotest.test_case "banked replay builds no tables" `Quick
+            test_banked_replay_builds_no_tables;
           Alcotest.test_case "banked replay equals per-cell replay" `Quick
             test_banked_replay_matches_per_cell;
           Alcotest.test_case "memo inserts race-free under 4 domains" `Quick
@@ -2127,5 +2192,16 @@ let () =
             (supervised test_store_refuses_descriptor_mismatch);
           Alcotest.test_case "fingerprint pinned" `Quick
             test_fingerprint_pinned;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "shared groups run once" `Slow
+            test_plan_shares_groups;
+          Alcotest.test_case "duplicates copied, own tags" `Quick
+            test_plan_copies_duplicates;
+          Alcotest.test_case "equal names never merged" `Quick
+            test_plan_keeps_twins_apart;
+          Alcotest.test_case "self-check dedupes nothing" `Quick
+            (audited_test test_plan_self_check_runs_all);
         ] );
     ]
